@@ -15,6 +15,7 @@ from .errors import DomainError, VerificationError
 __all__ = [
     "primes_up_to",
     "kloosterman_sum",
+    "kloosterman_table",
     "divisor_sigma_complex",
     "satake_from_lambda",
     "hecke_prime_power",
@@ -38,9 +39,42 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-@lru_cache(maxsize=512)
+# sized to cover the default c_max = 1000, so a repeated sweep over c never
+# evicts its own entries
+@lru_cache(maxsize=1024)
 def _inv_table_cached(c: int) -> np.ndarray:
     return _inverse_table(c)
+
+
+# elements of the (a, x) block of one kloosterman_table chunk
+_TABLE_BLOCK = 1 << 19
+
+
+@lru_cache(maxsize=1024)
+def kloosterman_table(c: int) -> np.ndarray:
+    """[S(a, 1; c) for a = 0, ..., c - 1], so S(m, 1; c) = table[m % c].
+
+    Each entry sums the kernel's terms cos(2 pi ((a x + xbar) mod c) / c)
+    over the units x mod c, pairwise rather than compensated, so it agrees
+    with kloosterman_sum to rounding (well within 1e-14 c). The cached
+    array is read-only.
+    """
+    c = int(c)
+    if c < 1:
+        raise DomainError("modulus c must be >= 1")
+    out = np.ones(c)  # S(0, 1; 1) = 1
+    if c > 1:
+        inv = _inv_table_cached(c)
+        x = np.nonzero(inv >= 0)[0]
+        xb = inv[x]
+        two_pi_over_c = 2.0 * math.pi / c
+        step = max(1, _TABLE_BLOCK // x.size)
+        for lo in range(0, c, step):
+            a = np.arange(lo, min(c, lo + step))[:, None]
+            terms = np.cos(two_pi_over_c * ((a * x + xb) % c))
+            out[lo : lo + step] = terms.sum(axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def kloosterman_sum(m: int, n: int, c: int) -> float:

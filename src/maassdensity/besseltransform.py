@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fastpath import j_array
+from ._fastpath import j_array, j_rows
 from .errors import CalibrationError, DomainError, RegimeError
 from .specfun import (
     dunster_xi,
@@ -307,13 +307,17 @@ class ResidueEvaluator:
         kk = np.arange(1, max(2, self.n_cap // (2 * self.T) + 1), dtype=float)
         self._w2 = kk * kk * family.h_real(kk)
 
+    def _k_loc(self, X: float) -> int:
+        if X > self.X_max * (1.0 + 1e-9):
+            raise DomainError(f"X = {X} exceeds this evaluator's X_max")
+        return min(self.k_cap, int(max(24.0, 1.4 * X + 30.0 * X ** (1.0 / 3.0) + 50.0)))
+
     def value(self, X: float) -> complex:
+        """D_J(X) from one Miller array; the reference for `values`."""
         X = float(X)
         if X <= 0.0:
             return 0.0j
-        if X > self.X_max * (1.0 + 1e-9):
-            raise DomainError(f"X = {X} exceeds this evaluator's X_max")
-        k_loc = min(self.k_cap, int(max(24.0, 1.4 * X + 30.0 * X ** (1.0 / 3.0) + 50.0)))
+        k_loc = self._k_loc(X)
         n_loc = 2 * k_loc + 1
         jv = j_array(X, n_loc)
         first = 2.0 * self.T * float(np.dot(self._signed_w1[: k_loc + 1], jv[1::2]))
@@ -324,6 +328,34 @@ class ResidueEvaluator:
                 break
             second += self._w2[i] * jv[n]
         return _C1 * first + _C2_TIMES_SIGN * (self.T * self.T) * second
+
+    def values(self, X) -> np.ndarray:
+        """[value(x) for x in X], bit for bit, from one batch of Miller rows.
+
+        The rows equal the scalar j_array arrays exactly and each is summed
+        in the scalar order (the per-row dot, then the w2 terms in sequence):
+        at large X the residue sum cancels heavily, so a reordered sum would
+        move D_J far beyond rounding of the result.
+        """
+        X = np.asarray(X, dtype=float).ravel()
+        out = np.zeros(X.size, dtype=complex)
+        live = np.nonzero(X > 0.0)[0]
+        xs = X[live]
+        k_loc = np.array([self._k_loc(x) for x in xs.tolist()], dtype=np.int64)
+        n_loc = 2 * k_loc + 1
+        jv = j_rows(xs, n_loc)
+        second = np.zeros(xs.size)
+        for i in range(self._w2.size):
+            n = 2 * (i + 1) * self.T
+            rows = n <= n_loc
+            if not rows.any():
+                break
+            np.add(second, self._w2[i] * jv[:, n], out=second, where=rows)
+        c2 = _C2_TIMES_SIGN * (self.T * self.T)
+        for j, (k, row) in enumerate(zip(k_loc.tolist(), jv)):
+            dot = np.dot(self._signed_w1[: k + 1], row[1 : 2 * k + 2 : 2])
+            out[live[j]] = _C1 * (2.0 * self.T * float(dot)) + c2 * second[j]
+        return out
 
 
 # ----------------------------------------------------------------------------

@@ -70,18 +70,6 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _set_threads(args):
-    n = getattr(args, "threads", None)
-    if n:
-        os.environ["NUMBA_NUM_THREADS"] = str(int(n))
-        try:
-            import numba
-
-            numba.set_num_threads(int(n))
-        except Exception:
-            pass
-
-
 def _write_output(args, text: str):
     path = getattr(args, "output", None)
     if path:
@@ -300,7 +288,6 @@ def _add_common(sp):
     sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--c-max", dest="c_max", type=int)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--output", help="write the primary artifact here")
 
 
@@ -386,7 +373,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        _set_threads(args)
         return args.func(args, cfg)
     except (VerificationError, CalibrationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

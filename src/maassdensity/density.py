@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import kloosterman_sum, primes_up_to
+from .arithmetic import kloosterman_table, primes_up_to
 from .besseltransform import ResidueEvaluator
 from .errors import DomainError
 from .kuznetsov import (
+    _kloosterman_c_sum,
     _smooth_grid,
     geometric_side,
     weight_log_conductor,
@@ -88,7 +89,7 @@ class DensityEngine:
         lg = geometric_side(1, 1, weight_log_conductor(T), c_max=conductor_c_max)
         self.avg_log_conductor = lg.total() / self.mass
         self._residue: ResidueEvaluator | None = None
-        self._klo_budget = 0.0
+        self._lambdas: dict = {}  # m -> (avg, small-c, large-c, tail budget)
 
     def _evaluator(self, x_max: float) -> ResidueEvaluator:
         if self._residue is None or x_max > self._residue.X_max:
@@ -99,44 +100,34 @@ class DensityEngine:
 
     def kloosterman_average(self, m: int) -> tuple:
         """(2i/pi) sum_c S(m,1;c)/c D(4 pi sqrt(m)/c) / mass, split at the
-        stationary scale c* = 4 pi sqrt(m)/T."""
+        stationary scale c* = 4 pi sqrt(m)/T, with its tail budget."""
         root = 4.0 * math.pi * math.sqrt(m)
         ev = self._evaluator(root)
-        c_star = root / self.T
-        small_c = 0.0j
-        large_c = 0.0j
-        last_abs = 0.0
-        for c in range(1, self.c_max + 1):
-            s = kloosterman_sum(m, 1, c)
-            if s == 0.0:
-                continue
-            val = ev.value(root / c)
-            term = (s / c) * val
-            if c <= c_star:
-                small_c += term
-            else:
-                large_c += term
-            last_abs = abs(val)
-        slope = last_abs / (root / self.c_max)
-        tail = (
-            slope * root * 2.0 * (math.log(self.c_max + 1.0) + 2.0)
-            / math.sqrt(self.c_max) * (2.0 / math.pi)
+        s = np.array([kloosterman_table(c)[m % c] for c in range(1, self.c_max + 1)])
+        cs = np.nonzero(s)[0] + 1
+        small_c, large_c, tail = _kloosterman_c_sum(
+            cs, s[cs - 1], ev.values(root / cs), root, self.c_max, root / self.T
         )
-        self._klo_budget += tail / self.mass
         to_real = lambda z: ((2j / math.pi) * z).real
         return (
             (to_real(small_c) + to_real(large_c)) / self.mass,
             to_real(small_c) / self.mass,
             to_real(large_c) / self.mass,
+            tail / self.mass,
         )
 
     def averaged_lambda(self, m: int) -> tuple:
-        """(Avg(lambda_m), small-c part, large-c part) of the Kloosterman piece."""
+        """(Avg(lambda_m), small-c part, large-c part) of the Kloosterman piece.
+
+        Memoised per m with its tail budget: eta scans on one engine reuse
+        every m they share."""
         if m == 1:
             return 1.0, 0.0, 0.0
-        eis = self.grid.eisenstein_contribution(m, 1) / self.mass
-        klo, small_c, large_c = self.kloosterman_average(m)
-        return eis + klo, small_c, large_c
+        if m not in self._lambdas:
+            eis = self.grid.eisenstein_contribution(m, 1) / self.mass
+            klo, small_c, large_c, tail = self.kloosterman_average(m)
+            self._lambdas[m] = (eis + klo, small_c, large_c, tail)
+        return self._lambdas[m][:3]
 
 
 def explicit_formula_average(
@@ -164,6 +155,7 @@ def explicit_formula_average(
     split_lp_sc = 0.0  # p >= T^2/(4 pi^2), c <= 4 pi sqrt(p)/T
     split_lp_lc = 0.0
     split_sp = 0.0
+    budget = 0.0  # Kloosterman tail budgets of the m used by this report
     for p in primes_up_to(int(p_cap)):
         p = int(p)
         hat = float(phi.phi_hat(np.array([math.log(p) / log_r]))[0])
@@ -171,6 +163,7 @@ def explicit_formula_average(
             continue
         coef = 2.0 * math.log(p) / (math.sqrt(p) * log_r) * hat
         avg, small_c, large_c = engine.averaged_lambda(p)
+        budget += engine._lambdas[p][3]
         prime_term += coef * avg
         if p >= p_thresh:
             split_lp_sc += coef * small_c
@@ -186,6 +179,7 @@ def explicit_formula_average(
             continue
         coef = 2.0 * math.log(p) / (p * log_r) * hat
         avg, _, _ = engine.averaged_lambda(p * p)
+        budget += engine._lambdas[p * p][3]
         prime_sq_term += coef * avg
 
     total = const_term + conductor_term - prime_term - prime_sq_term
@@ -203,7 +197,7 @@ def explicit_formula_average(
         split_large_p_small_c=split_lp_sc,
         split_large_p_large_c=split_lp_lc,
         split_small_p=split_sp,
-        error_budget=engine._klo_budget,
+        error_budget=budget,
     )
 
 

@@ -283,6 +283,29 @@ def _residue_evaluator(T: int, x_max: float) -> ResidueEvaluator:
 # ----------------------------------------------------------------------------
 
 
+def _kloosterman_c_sum(cs, s, vals, root, c_max, c_star, gcd=1) -> tuple:
+    """(sum over c <= c_star, sum over c > c_star, tail budget) of the terms
+    S(m,n;c)/c * integral(root/c), root = 4 pi sqrt(mn).
+
+    cs holds the moduli c <= c_max with S != 0 in ascending order, s their
+    Kloosterman sums and vals the integral values; the sums run in c order.
+    Tail: |S| <= tau(c) gcd^{1/2} c^{1/2}; |integral(x)| ~ slope * x for
+    small x, slope taken from the last computed value.
+    """
+    small = large = 0.0j
+    for c, s_c, val in zip(cs.tolist(), s.tolist(), vals.tolist()):
+        if c <= c_star:
+            small += (s_c / c) * val
+        else:
+            large += (s_c / c) * val
+    slope = (abs(complex(vals[-1])) if vals.size else 0.0) / (root / c_max)
+    tail = (
+        slope * root * 2.0 * (math.log(c_max + 1.0) + 2.0) * math.sqrt(gcd)
+        / math.sqrt(c_max) * (2.0 / math.pi)
+    )
+    return small, large, tail
+
+
 @dataclass(frozen=True)
 class GeometricBreakdown:
     delta_term: float
@@ -323,34 +346,17 @@ def geometric_side(
     eis = grid.eisenstein_contribution(m, n)
 
     root = 4.0 * math.pi * math.sqrt(m * n)
-    use_residue = H.kind == "h_T"
-    if use_residue:
-        ev = _residue_evaluator(H.T, root)
-        integral = ev.value
+    s = np.array([kloosterman_sum(m, n, c) for c in range(1, c_max + 1)])
+    cs = np.nonzero(s)[0] + 1
+    if H.kind == "h_T":
+        vals = _residue_evaluator(H.T, root).values(root / cs)
     else:
         og = _osc_grid(H, root / c_max)
-        integral = og.integral
-
-    kloo = 0.0j
-    last_abs = 0.0
-    for c in range(1, c_max + 1):
-        s = kloosterman_sum(m, n, c)
-        if s != 0.0:
-            val = integral(root / c)
-            kloo += (s / c) * val
-            last_abs = abs(val)
-    # tail: |S| <= tau(c) gcd^{1/2} c^{1/2}; |integral(x)| ~ slope * x for
-    # small x, slope taken from the last computed value
-    slope = last_abs / (root / c_max) if c_max >= 1 else 0.0
-    tail = (
-        slope
-        * root
-        * 2.0
-        * (math.log(c_max + 1.0) + 2.0)
-        * math.sqrt(math.gcd(m, n))
-        / math.sqrt(c_max)
-        * (2.0 / math.pi)
+        vals = np.array([og.integral(x) for x in root / cs], dtype=complex)
+    small, large, tail = _kloosterman_c_sum(
+        cs, s[cs - 1], vals, root, c_max, c_max, math.gcd(m, n)
     )
+    kloo = small + large
     trunc = abs(grid.H[-1]) * grid.r_cut ** 2 * 10.0
     return GeometricBreakdown(
         delta_term=delta,

@@ -63,9 +63,19 @@ class TestFunction:
     def phi_hat_mass(self, cut: float | None = None) -> float:
         """integral of phi-hat over (-a, a), a = min(eta, cut)."""
         a = self.eta if cut is None else min(self.eta, float(cut))
-        x, w = np.polynomial.legendre.leggauss(400)
+        x, w = _leggauss(400)
         xi = x * a
         return float(np.dot(w * a, bump(xi / self.eta)))
+
+
+@lru_cache(maxsize=8)
+def _leggauss(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and
+    shared read-only (they do not depend on eta)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=32)
@@ -75,7 +85,7 @@ def _cached_test_function(eta: float) -> TestFunction:
     probes = (0.0, 0.6, 2.3, 25.0, 80.0)
     prev = None
     for n in (1024, 2048, 4096, 8192):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _leggauss(n)
         xi = x * eta
         wq = w * eta * bump(xi / eta)
         probe = np.array([np.dot(wq, np.cos(2.0 * math.pi * p * xi)) for p in probes])
@@ -145,7 +155,7 @@ def _expected_x_space(phi: TestFunction, group: str) -> float:
     # oscillation of phi and the sine kernel alike
     width = 0.25 / max(1.0, phi.eta)
     n_panels = int(math.ceil(L / width))
-    gx, gw = np.polynomial.legendre.leggauss(12)
+    gx, gw = _leggauss(12)
     edges = np.linspace(0.0, L, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
