@@ -124,6 +124,16 @@ def _osc_panel_edges(r_max: float, X: float, width_factor: float) -> np.ndarray:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
+def _gl_panels(edges: np.ndarray) -> tuple:
+    """(nodes, weights) of the 16-point Gauss-Legendre rule on every panel
+    between consecutive edges."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, wts
+
+
 def _im_scaled_grid(r_nodes: np.ndarray, X: float) -> np.ndarray:
     if X <= 36.0:
         return scaled_bessel_series_grid(r_nodes, X).imag
@@ -131,11 +141,7 @@ def _im_scaled_grid(r_nodes: np.ndarray, X: float) -> np.ndarray:
 
 
 def _dj_quad_pass(sw: SpectralWeight, X: float, r_max: float, wf: float) -> float:
-    edges = _osc_panel_edges(r_max, X, wf)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    nodes, wts = _gl_panels(_osc_panel_edges(r_max, X, wf))
     integrand = nodes * sw.h_T_real(nodes) * _im_scaled_grid(nodes, X)
     return float(np.dot(wts, integrand))
 
@@ -149,9 +155,14 @@ def dj_quadrature(X: float, T: int, tol: float = 1e-10) -> DJResult:
     the truncation tail is budgeted from the h_T decay envelope.
     """
     X, T = _check_xt(X, T)
+    return _dj_quadrature(make_spectral_weight(default_family(), T), X, tol)
+
+
+def _dj_quadrature(sw: SpectralWeight, X: float, tol: float) -> DJResult:
+    """dj_quadrature for the spectral weight sw of any family."""
     if tol < 1e-12:
         raise DomainError("tol must be >= 1e-12")
-    sw = make_spectral_weight(default_family(), T)
+    T = sw.T
     r_max = (4.0 * T / math.pi) * math.log(1.0 / tol) + 50.0
     coarse = _dj_quad_pass(sw, X, r_max, 1.0)
     fine = _dj_quad_pass(sw, X, r_max, 0.55)
@@ -167,13 +178,19 @@ def dj_quadrature(X: float, T: int, tol: float = 1e-10) -> DJResult:
 # ----------------------------------------------------------------------------
 
 
+def _k_max(X: float) -> int:
+    """Last k of the first residue family at argument X: past it the
+    factorial Bessel envelope has killed the polynomially growing weight."""
+    return int(max(24.0, 1.4 * X + 30.0 * X ** (1.0 / 3.0) + 50.0))
+
+
 def _first_family_terms(family: WeightFamily, X: float, T: int):
     """(-1)^k J_{2k+1}(X) W(k) with W(k) = x^2 h(x)/sin(pi x), x=(2k+1)/2T.
 
     Truncated where the factorial Bessel envelope kills the polynomially
     growing weight factor; returns (terms, envelope-of-first-dropped-term).
     """
-    k_max = int(max(24.0, 1.4 * X + 30.0 * X ** (1.0 / 3.0) + 50.0))
+    k_max = _k_max(X)
     n_max = 2 * k_max + 1
     jv = j_array(X, n_max)
     k = np.arange(k_max + 1)
@@ -262,7 +279,7 @@ def _ensure_calibrated(family: WeightFamily):
     if key in _calibrated:
         return
     for X, T in ((1.0, 5), (2.0, 11), (0.5, 5), (15.0, 5)):
-        quad = dj_quadrature(X, T, tol=1e-10)
+        quad = _dj_quadrature(make_spectral_weight(family, T), X, 1e-10)
         val, tail = _residue_value(family, X, T)
         gap = abs(quad.value - val)
         budget = 1e-8 * (1.0 + abs(val)) + quad.error_estimate + tail
@@ -299,7 +316,7 @@ class ResidueEvaluator:
         self.family = family
         self.X_max = float(X_max)
         _ensure_calibrated(family)
-        self.k_cap = int(max(24.0, 1.4 * X_max + 30.0 * X_max ** (1.0 / 3.0) + 50.0))
+        self.k_cap = _k_max(self.X_max)
         k = np.arange(self.k_cap + 1)
         x = (2 * k + 1) / (2.0 * self.T)
         self._signed_w1 = ((-1.0) ** k) * x * x * family.h_real(x) / np.sin(math.pi * x)
@@ -310,7 +327,7 @@ class ResidueEvaluator:
     def _k_loc(self, X: float) -> int:
         if X > self.X_max * (1.0 + 1e-9):
             raise DomainError(f"X = {X} exceeds this evaluator's X_max")
-        return min(self.k_cap, int(max(24.0, 1.4 * X + 30.0 * X ** (1.0 / 3.0) + 50.0)))
+        return min(self.k_cap, _k_max(X))
 
     def value(self, X: float) -> complex:
         """D_J(X) from one Miller array; the reference for `values`."""
@@ -374,11 +391,7 @@ def dj_asymptotic(X: float, T: int) -> DJResult:
     if X < T / 8.0:
         raise RegimeError("asymptotic route requires X >= T/8")
     r_max = (4.0 * T / math.pi) * math.log(1e10) + 50.0
-    edges = _osc_panel_edges(r_max, X, 0.6)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    nodes, wts = _gl_panels(_osc_panel_edges(r_max, X, 0.6))
     sw = make_spectral_weight(default_family(), T)
     hv = nodes * sw.h_T_real(nodes)
     amp = (4.0 * nodes * nodes + X * X) ** -0.25
@@ -453,14 +466,6 @@ def _souped_family() -> WeightFamily:
     return make_weight_family(12, 0.125)
 
 
-def _souped_residue(X: float, T: int) -> complex:
-    family = _souped_family()
-    terms, _ = _first_family_terms(family, X, T)
-    first = 2.0 * T * float(np.sum(terms))
-    second, _ = _second_family(family, X, T)
-    return _C1 * first + _C2_TIMES_SIGN * second
-
-
 def bound_scan(which: str, grid: list | None = None) -> ScanReport:
     """Empirical value/bound ratios for the decay estimates on D_J, A_g, B_g.
 
@@ -500,7 +505,7 @@ def bound_scan(which: str, grid: list | None = None) -> ScanReport:
                 b = X / math.sqrt(T)
             elif which == "souped_up":
                 M = _souped_family().M
-                v = abs(_souped_residue(X, T))
+                v = abs(_residue_value(_souped_family(), X, T)[0])
                 b = X ** M * T ** (1.5 - 2.0 * M) + T ** -1.5
             elif which == "stationary_A":
                 v = stationary_phase_sums(X, T)[0]

@@ -163,7 +163,6 @@ def _cmd_trace_verify(args, cfg) -> int:
         weight,
         records,
         c_max=int(cfg["c_max"]),
-        tol=float(cfg["tol"]),
     )
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     _write_output(args, text)
@@ -286,7 +285,10 @@ def _add_common(sp):
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--M", type=int, help="weight order (multiple of 4, >= 8)")
     sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument(
+        "--tol", type=float,
+        help="bessel-int quadrature tolerance (the quadrature runs at tol/100)",
+    )
     sp.add_argument("--c-max", dest="c_max", type=int)
     sp.add_argument("--output", help="write the primary artifact here")
 

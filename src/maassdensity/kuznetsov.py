@@ -17,17 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import kloosterman_sum
-from .besseltransform import ResidueEvaluator, _osc_panel_edges
+from .besseltransform import (
+    ResidueEvaluator,
+    _gl_panels,
+    _im_scaled_grid,
+    _osc_panel_edges,
+)
 from .errors import (
     DomainError,
     MissingCoefficientError,
     VerificationError,
 )
-from .specfun import (
-    log_gamma_complex,
-    scaled_bessel_j_imag,
-    zeta_abs2_grid,
-)
+from .specfun import _series_grid_prefactor, _series_grid_sum, zeta_abs2_grid
 from .weights import default_family, make_spectral_weight
 
 __all__ = [
@@ -150,7 +151,6 @@ def weight_combination(parts) -> AdmissibleWeight:
 # ----------------------------------------------------------------------------
 
 _SMOOTH_PANEL = 0.15  # resolves cos(r log(md/ne)) up to log ~ 20 rad per unit
-_GLX, _GLW = np.polynomial.legendre.leggauss(16)
 
 
 class _SmoothGrid:
@@ -159,11 +159,7 @@ class _SmoothGrid:
     def __init__(self, weight: AdmissibleWeight):
         r_cut = weight.r_cut()
         n_panels = int(math.ceil(r_cut / _SMOOTH_PANEL))
-        edges = np.linspace(0.0, r_cut, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        self.r = (mid[:, None] + half[:, None] * _GLX[None, :]).ravel()
-        self.w = (half[:, None] * _GLW[None, :]).ravel()
+        self.r, self.w = _gl_panels(np.linspace(0.0, r_cut, n_panels + 1))
         self.H = weight.eval(self.r)
         self.r_cut = r_cut
         self.zeta2 = zeta_abs2_grid(self.r)
@@ -207,39 +203,18 @@ class _OscGrid:
     """
 
     def __init__(self, weight: AdmissibleWeight, x_min: float):
-        r_cut = weight.r_cut()
-        edges = _osc_panel_edges(r_cut, max(x_min, 1e-6), 0.8)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        self.r = (mid[:, None] + half[:, None] * _GLX[None, :]).ravel()
-        self.wrH = (half[:, None] * _GLW[None, :]).ravel() * self.r * weight.eval(
-            self.r
-        )
-        nu = 2j * self.r
-        lg = np.array([log_gamma_complex(1.0 + v) for v in nu])
-        pr = math.pi * self.r
-        logcosh = np.where(
-            pr < 20.0, np.log(np.cosh(np.minimum(pr, 20.0))), pr - math.log(2.0)
-        )
-        self._nu = nu
-        self._pre = -lg - logcosh
+        edges = _osc_panel_edges(weight.r_cut(), max(x_min, 1e-6), 0.8)
+        self.r, w = _gl_panels(edges)
+        self.wrH = w * self.r * weight.eval(self.r)
+        self._pre = _series_grid_prefactor(self.r)
 
     def integral(self, x: float) -> complex:
         """Two-sided integral of J_{2ir}(x) r H(r)/cosh(pi r); purely imaginary."""
         if x > 36.0:
-            im = np.array(
-                [scaled_bessel_j_imag(r, x).value.imag for r in self.r]
-            )
-            return 2j * float(np.dot(self.wrH, im))
-        term = np.exp(self._nu * math.log(0.5 * x) + self._pre)
-        acc = term.copy()
-        q = -0.25 * x * x
-        for n in range(1, 400):
-            term = term * (q / (n * (n + self._nu)))
-            acc += term
-            if np.max(np.abs(term)) < 1e-17 * max(1e-300, float(np.max(np.abs(acc)))):
-                break
-        return 2j * float(np.dot(self.wrH, acc.imag))
+            im = _im_scaled_grid(self.r, x)
+        else:
+            im = _series_grid_sum(self._pre, x).imag
+        return 2j * float(np.dot(self.wrH, im))
 
 
 _smooth_cache: dict = {}
@@ -327,7 +302,7 @@ class GeometricBreakdown:
 
 
 def geometric_side(
-    m: int, n: int, H: AdmissibleWeight, c_max: int = 1000, tol: float = 1e-8
+    m: int, n: int, H: AdmissibleWeight, c_max: int = 1000
 ) -> GeometricBreakdown:
     """Delta, Eisenstein, and Kloosterman terms of the trace formula.
 
@@ -413,10 +388,10 @@ def spectral_side(m: int, n: int, H: AdmissibleWeight, data) -> tuple:
 
 
 def verify_trace_identity(
-    m: int, n: int, H: AdmissibleWeight, data, c_max: int = 1000, tol: float = 1e-8
+    m: int, n: int, H: AdmissibleWeight, data, c_max: int = 1000
 ) -> dict:
     """Compare the two sides; raises if they disagree beyond combined budgets."""
-    geom = geometric_side(m, n, H, c_max=c_max, tol=tol)
+    geom = geometric_side(m, n, H, c_max=c_max)
     report = {
         "m": int(m),
         "n": int(n),

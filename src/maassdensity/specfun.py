@@ -26,7 +26,6 @@ __all__ = [
     "scaled_bessel_j_imag",
     "scaled_bessel_series_grid",
     "zeta_right_of_one",
-    "zeta_abs2_one_line",
     "zeta_abs2_grid",
     "dunster_xi",
     "dunster_leading_term",
@@ -327,10 +326,22 @@ def scaled_bessel_series_grid(r: np.ndarray, x: float) -> np.ndarray:
         raise DomainError("scaled_bessel_series_grid is limited to x <= 36")
     if not x > 0.0:
         raise DomainError("x must be positive")
+    return _series_grid_sum(_series_grid_prefactor(r), x)
+
+
+def _series_grid_prefactor(r: np.ndarray) -> tuple:
+    """(nu, log Gamma(1 + nu), log cosh(pi r)) with nu = 2ir: the x-independent
+    node factors of the series, computed once per node set."""
     r = np.asarray(r, dtype=float)
     nu = 2j * r
     lg = np.array([log_gamma_complex(1.0 + v) for v in nu])
-    log_t0 = nu * math.log(0.5 * x) - lg - _log_cosh_vec(math.pi * r)
+    return nu, lg, _log_cosh_vec(math.pi * r)
+
+
+def _series_grid_sum(pre: tuple, x: float) -> np.ndarray:
+    """The power series of J_{2ir}(x)/cosh(pi r) on the nodes of `pre`."""
+    nu, lg, lc = pre
+    log_t0 = nu * math.log(0.5 * x) - lg - lc
     term = np.exp(log_t0)
     acc = term.copy()
     q = -0.25 * x * x
@@ -374,6 +385,27 @@ _BERNOULLI_EVEN = (
 )
 
 
+def _zeta_em(s: np.ndarray) -> np.ndarray:
+    """zeta(s) on an array of s with Re(s) >= 1, s != 1, by Euler-Maclaurin
+    with tail correction; the whole array shares one cutoff N."""
+    n_cut = max(24, int(1.1 * float(np.max(np.abs(s.imag)))) + 16)
+    ns = np.arange(1, n_cut, dtype=float)
+    acc = np.exp(-np.multiply.outer(s, np.log(ns))).sum(axis=1)
+    npow = np.exp(-s * math.log(n_cut))  # n_cut^{-s}
+    acc += npow * n_cut / (s - 1.0)
+    acc += 0.5 * npow
+    # correction sum: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * n^{-s-2k+1}
+    fac = npow / n_cut  # n^{-s-1}, running power
+    for k, b in enumerate(_BERNOULLI_EVEN, start=1):
+        if k == 1:
+            poly = s
+        else:
+            poly = poly * (s + (2 * k - 3)) * (s + (2 * k - 2))
+        acc += b / math.factorial(2 * k) * poly * fac
+        fac /= n_cut * n_cut
+    return acc
+
+
 def zeta_right_of_one(s: complex) -> complex:
     """zeta(s) for Re(s) >= 1, s != 1, by Euler-Maclaurin with tail correction."""
     s = complex(s)
@@ -381,48 +413,15 @@ def zeta_right_of_one(s: complex) -> complex:
         raise DomainError("zeta_right_of_one requires Re(s) >= 1")
     if s == 1.0:
         raise PoleError("zeta has its pole at s = 1")
-    n_cut = max(24, int(1.1 * abs(s.imag)) + 16)
-    ns = np.arange(1, n_cut, dtype=float)
-    acc = complex(np.sum(np.exp(-s * np.log(ns))))
-    logn = math.log(n_cut)
-    npow = cmath.exp(-s * logn)  # n_cut^{-s}
-    acc += npow * n_cut / (s - 1.0)
-    acc += 0.5 * npow
-    # correction sum: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * n^{-s-2k+1}
-    fac = npow / n_cut  # n^{-s-1}, running power
-    poly = complex(1.0)
-    term = complex(0.0)
-    for k, b in enumerate(_BERNOULLI_EVEN, start=1):
-        if k == 1:
-            poly = s
-        else:
-            poly = poly * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        term = b / math.factorial(2 * k) * poly * fac
-        acc += term
-        fac /= n_cut * n_cut
-        if abs(term) < 1e-16 * abs(acc):
-            break
-    return _check_finite(acc, "zeta_right_of_one")
-
-
-def zeta_abs2_one_line(r: np.ndarray) -> np.ndarray:
-    """|zeta(1 + 2ir)|^2 on an array of real r; r = 0 maps to +inf."""
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
-    for i, ri in enumerate(r.ravel()):
-        if ri == 0.0:
-            out.ravel()[i] = math.inf
-        else:
-            out.ravel()[i] = abs(zeta_right_of_one(1.0 + 2j * ri)) ** 2
-    return out
+    return _check_finite(complex(_zeta_em(np.array([s]))[0]), "zeta_right_of_one")
 
 
 def zeta_abs2_grid(r: np.ndarray) -> np.ndarray:
     """Vectorized |zeta(1 + 2ir)|^2 for large grids.
 
-    Same Euler-Maclaurin formula as zeta_right_of_one, evaluated blockwise on
-    magnitude-sorted chunks so each chunk shares one cutoff N; agrees with the
-    scalar routine to rounding. r = 0 maps to +inf.
+    The Euler-Maclaurin kernel of zeta_right_of_one, evaluated blockwise on
+    magnitude-sorted chunks so each chunk shares one cutoff N. r = 0 maps to
+    +inf.
     """
     r = np.asarray(r, dtype=float)
     flat = np.abs(r.ravel())
@@ -433,24 +432,7 @@ def zeta_abs2_grid(r: np.ndarray) -> np.ndarray:
         idx = order[lo : lo + chunk]
         rv = flat[idx]
         zero = rv == 0.0
-        rv_nz = np.where(zero, 1.0, rv)
-        s = 1.0 + 2j * rv_nz
-        n_cut = max(24, int(2.2 * float(rv_nz.max())) + 16)
-        ns = np.arange(1, n_cut, dtype=float)
-        acc = np.exp(-np.multiply.outer(s, np.log(ns))).sum(axis=1)
-        npow = np.exp(-s * math.log(n_cut))
-        acc += npow * n_cut / (s - 1.0)
-        acc += 0.5 * npow
-        fac = npow / n_cut
-        poly = np.ones_like(s)
-        for k, b in enumerate(_BERNOULLI_EVEN, start=1):
-            if k == 1:
-                poly = s.copy()
-            else:
-                poly = poly * (s + (2 * k - 3)) * (s + (2 * k - 2))
-            acc += b / math.factorial(2 * k) * poly * fac
-            fac /= n_cut * n_cut
-        vals = np.abs(acc) ** 2
+        vals = np.abs(_zeta_em(1.0 + 2j * np.where(zero, 1.0, rv))) ** 2
         vals[zero] = np.inf
         out[idx] = vals
     return out.reshape(r.shape)

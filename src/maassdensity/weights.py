@@ -68,7 +68,7 @@ class WeightFamily:
         out = complex(np.dot(self._wb, vals))
         if z.imag == 0.0 or z.real == 0.0:
             # real on both axes (even real bump)
-            return complex(out.real, 0.0) if z.imag == 0.0 else complex(out.real, 0.0)
+            return complex(out.real, 0.0)
         return out
 
     def s_real_grid(self, x: np.ndarray) -> np.ndarray:

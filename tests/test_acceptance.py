@@ -239,6 +239,7 @@ def test_criterion_7_rmt_suite():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_density_convergence():
     T_list = [11, 21, 41, 81]
     reports, _flags = md.convergence_scan(

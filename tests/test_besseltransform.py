@@ -11,7 +11,11 @@ from maassdensity.errors import (
     DomainError,
     RegimeError,
 )
-from maassdensity.weights import default_family, make_spectral_weight
+from maassdensity.weights import (
+    default_family,
+    make_spectral_weight,
+    make_weight_family,
+)
 
 
 def test_quadrature_vs_residue_basic_points():
@@ -89,6 +93,16 @@ def test_calibration_gate_catches_wrong_constant(monkeypatch):
         bt.dj_residue_sum(1.0, 5)
 
 
+def test_residue_evaluator_for_non_default_family():
+    # calibration must compare the family's own residue against quadrature
+    # of that same family's h_T
+    M12 = make_weight_family(12, 0.125)
+    ev = bt.ResidueEvaluator(M12, 11, 5.0)
+    for X in (0.5, 2.0, 5.0):
+        want = bt._residue_value(M12, X, 11)[0]
+        assert abs(ev.value(X) - want) < 1e-12 * (1.0 + abs(want))
+
+
 def test_asymptotic_regime_guard():
     with pytest.raises(RegimeError):
         bt.dj_asymptotic(1.0, 21)
@@ -129,3 +143,13 @@ def test_bound_scan_report_schema():
     assert len(lines) == 3
     assert all(line.startswith("small_X,") for line in lines[1:])
     assert rep.sup_ratio == max(rep.ratios)
+
+
+def test_bound_scan_souped_up_uses_the_m12_residue():
+    grid = [(0.25, 11), (1.0, 11), (0.5, 21)]
+    rep = bt.bound_scan("souped_up", grid=grid)
+    M12 = make_weight_family(12, 0.125)
+    assert rep.points == grid and not rep.flagged
+    for (X, T), v, b in zip(rep.points, rep.values, rep.bounds):
+        assert v == abs(bt._residue_value(M12, X, T)[0])
+        assert b == X ** 12 * T ** (1.5 - 24.0) + T ** -1.5
