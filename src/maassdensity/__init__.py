@@ -3,8 +3,12 @@ computations for level 1 Maass forms.
 
 The public surface re-exports the main entry points of each module; the
 underscored module internals (grids, caches, numba kernels) are not part of
-the supported API.
+the supported API. Diagnostics, such as the scaled-Bessel route counts, go
+to the "maassdensity" logger at DEBUG; it has a NullHandler, so they stay
+silent unless the application configures logging.
 """
+
+import logging
 
 from .besseltransform import (
     DJResult,
@@ -79,6 +83,8 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -20,7 +20,7 @@ from ._fastpath import j_array, j_rows
 from .errors import CalibrationError, DomainError, RegimeError
 from .specfun import (
     dunster_xi,
-    scaled_bessel_j_imag,
+    scaled_bessel_j_imag_grid,
     scaled_bessel_series_grid,
 )
 from .weights import (
@@ -137,7 +137,9 @@ def _gl_panels(edges: np.ndarray) -> tuple:
 def _im_scaled_grid(r_nodes: np.ndarray, X: float) -> np.ndarray:
     if X <= 36.0:
         return scaled_bessel_series_grid(r_nodes, X).imag
-    return np.array([scaled_bessel_j_imag(r, X).value.imag for r in r_nodes])
+    # a contiguous copy: BLAS sums a strided view in another order, and the
+    # dot in _OscGrid.integral would move by an ulp
+    return np.ascontiguousarray(scaled_bessel_j_imag_grid(r_nodes, X).imag)
 
 
 def _dj_quad_pass(sw: SpectralWeight, X: float, r_max: float, wf: float) -> float:

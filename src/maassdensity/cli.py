@@ -3,7 +3,8 @@
 Every subcommand is a reproducible batch run: the same resolved
 configuration produces byte-identical output files. Configuration
 precedence is flags > --config JSON > environment variables > defaults
-(M = 8, bump_halfwidth = 1/8, tol = 1e-8, c_max = 1000).
+(M = 8, bump_halfwidth = 1/8, tol = 1e-8, c_max = 1000). Only bessel-int
+reads tol, and only it takes the --tol flag.
 
 Environment variables: MAASS_M, MAASS_BUMP_HALFWIDTH, MAASS_TOL,
 MAASS_C_MAX, MAASS_DATA_DIR.
@@ -285,10 +286,6 @@ def _add_common(sp):
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--M", type=int, help="weight order (multiple of 4, >= 8)")
     sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float)
-    sp.add_argument(
-        "--tol", type=float,
-        help="bessel-int quadrature tolerance (the quadrature runs at tol/100)",
-    )
     sp.add_argument("--c-max", dest="c_max", type=int)
     sp.add_argument("--output", help="write the primary artifact here")
 
@@ -307,6 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["quadrature", "residue", "asymptotic", "all"],
         default="all",
+    )
+    p.add_argument(
+        "--tol", type=float,
+        help="quadrature tolerance (the quadrature runs at tol/100)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_bessel_int)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

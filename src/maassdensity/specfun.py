@@ -9,8 +9,10 @@ The imaginary-order Bessel function is only ever exposed pre-scaled by
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,9 +23,11 @@ from .errors import ConvergenceError, DomainError, OverflowGuardError, PoleError
 __all__ = [
     "ScaledBesselValue",
     "log_gamma_complex",
+    "log_gamma_grid",
     "bessel_j_int",
     "bessel_j_int_integral_check",
     "scaled_bessel_j_imag",
+    "scaled_bessel_j_imag_grid",
     "scaled_bessel_series_grid",
     "zeta_right_of_one",
     "zeta_abs2_grid",
@@ -33,6 +37,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+_log = logging.getLogger("maassdensity")
 
 # Lanczos approximation, g = 7, 9 terms. Validated in the test suite against
 # the reflection and duplication identities rather than against a table.
@@ -79,6 +85,81 @@ def log_gamma_complex(z: complex) -> complex:
     t = w + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
     return _check_finite(out, "log_gamma_complex")
+
+
+def log_gamma_grid(z: np.ndarray) -> np.ndarray:
+    """log_gamma_complex over an array of z with Re z >= 1/2, bit for bit.
+
+    The Lanczos sum runs on real arrays with CPython's complex formulas
+    (`_c_prod`, `_c_quot`); cmath.log stays a per-element call, so each
+    logarithm is the one the scalar routine takes.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real < 0.5):
+        raise DomainError("log_gamma_grid requires Re z >= 1/2")
+    out = np.empty(z.shape, dtype=complex)
+    flat, res = z.ravel(), out.reshape(-1)
+    # blocks of 4096 keep the temporaries small next to the quadrature's
+    # own arrays (unblocked, they raised dj_routes' peak RSS by ~2 MB)
+    for lo in range(0, flat.size, 4096):
+        res[lo:lo + 4096] = _log_gamma_block(flat[lo:lo + 4096])
+    if not np.all(np.isfinite(out)):
+        raise OverflowGuardError("log_gamma_grid produced a non-finite value")
+    return out
+
+
+def _log_gamma_block(z: np.ndarray) -> np.ndarray:
+    w_re = z.real - 1.0
+    w_im = z.imag - 0.0
+    acc_re = np.full(z.shape, _LANCZOS_COEF[0])
+    acc_im = np.zeros(z.shape)
+    for i in range(1, len(_LANCZOS_COEF)):
+        q_re, q_im = _c_quot(_LANCZOS_COEF[i], 0.0, w_re + i, w_im + 0.0)
+        acc_re = acc_re + q_re
+        acc_im = acc_im + q_im
+    t_re = (w_re + _LANCZOS_G) + 0.5
+    t_im = (w_im + 0.0) + 0.0
+    log_t = _cmath_log(t_re, t_im)
+    p_re, p_im = _c_prod(w_re + 0.5, w_im + 0.0, log_t.real, log_t.imag)
+    log_acc = _cmath_log(acc_re, acc_im)
+    return _complex(((_HALF_LOG_TWO_PI + p_re) - t_re) + log_acc.real,
+                    ((0.0 + p_im) - t_im) + log_acc.imag)
+
+
+# Complex arithmetic on (real, imaginary) array pairs with the formulas of
+# CPython's _Py_c_prod and _Py_c_quot (a Python float operand enters as
+# (value, 0.0)), so batched routes reproduce the scalar complex code bit for
+# bit; numpy's own complex multiply, divide and abs round differently.
+
+
+def _c_prod(a_re, a_im, b_re, b_im):
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _c_quot(a_re, a_im, b_re, b_im):
+    """a / b for finite operands and b != 0."""
+    first = np.abs(b_re) >= np.abs(b_im)
+    num = np.where(first, b_im, b_re)
+    den = np.where(first, b_re, b_im)
+    ratio = num / den
+    denom = den + num * ratio
+    re = np.where(first, a_re + a_im * ratio, a_re * ratio + a_im)
+    im = np.where(first, a_im - a_re * ratio, a_im * ratio - a_re)
+    return re / denom, im / denom
+
+
+# Per-element calls of the scalar routes' libm functions (numpy's ufuncs do
+# not reproduce them bit for bit); np.fromiter over map keeps one element's
+# Python objects alive at a time.
+
+
+def _c_abs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """abs(complex) per element: libm hypot."""
+    return np.fromiter(map(abs, map(complex, re, im)), float, count=np.size(re))
+
+
+def _cmath_log(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(cmath.log, map(complex, re, im)), complex, count=np.size(re))
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -316,6 +397,175 @@ def scaled_bessel_j_imag(r: float, x: float) -> ScaledBesselValue:
     return ScaledBesselValue(value=_mp_scaled(r, x), r=r, x=x)
 
 
+def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
+    """scaled_bessel_j_imag(r_i, x).value for every r_i of an array, bit for bit.
+
+    Each node takes the scalar route: the series where it is plausible, the
+    Hankel expansion where the series misses its target, the series for the
+    remaining implausible nodes, and mpmath for whatever is still left. The
+    series and Hankel sums run over all their nodes at once with per-node
+    state only; a node leaves the active arrays when its sum stops. The
+    route counts go to the "maassdensity" logger at DEBUG.
+    """
+    x = float(x)
+    r = np.asarray(r, dtype=float)
+    if not x > 0.0:
+        raise DomainError("scaled_bessel_j_imag requires x > 0")
+    if np.any(np.abs(r) > 1.0e4):
+        raise DomainError("scaled_bessel_j_imag requires |r| <= 1e4")
+    flat = r.ravel()
+    neg = flat < 0.0
+    a = np.where(neg, -flat, flat)
+    out = np.empty(a.shape, dtype=complex)
+    target = _TARGET_REL * np.fromiter(
+        map(_scale_estimate, map(float, a), repeat(x)), float, count=a.size)
+    plausible = (x <= 36.0) | (8.0 * a >= x * x / 12.0)
+
+    def take(idx, route):
+        """Store the nodes of idx whose route result meets the target;
+        return the indices of the others."""
+        val, err = route(a[idx], x)
+        ok = err <= target[idx]
+        out[idx[ok]] = val[ok]
+        return idx[~ok]
+
+    idx = np.flatnonzero(plausible)
+    left = take(idx, _series_batch)
+    n_series = idx.size - left.size
+    n_hankel = 0
+    if x > 20.0:
+        idx = np.union1d(left, np.flatnonzero(~plausible))
+        left = take(idx, _hankel_batch)
+        n_hankel = idx.size - left.size
+        idx = left[~plausible[left]]
+        late = take(idx, _series_batch)
+        n_series += idx.size - late.size
+        left = np.union1d(left[plausible[left]], late)
+    for i in left.tolist():
+        out[i] = _mp_scaled(float(a[i]), x)
+    out[neg] = out[neg].conj()
+    _log.debug(
+        "scaled Bessel grid at x = %r: %d nodes, %d series, %d Hankel, %d mpmath",
+        x, a.size, n_series, n_hankel, left.size,
+    )
+    return out.reshape(r.shape)
+
+
+def _series_batch(r: np.ndarray, x: float):
+    """_series_scaled over an array of r >= 0: (values, error estimates)."""
+    val = np.empty(r.size, dtype=complex)
+    err = np.empty(r.size)
+    if r.size == 0:
+        return val, err
+    nu_re, nu_im = _c_prod(0.0, 2.0, r, 0.0)  # nu = 2j * r
+    t_re, t_im = _series_first_term(nu_re, nu_im, r, x)
+    acc_re, acc_im = t_re.copy(), t_im.copy()
+    cp_re, cp_im = np.zeros(r.size), np.zeros(r.size)
+    max_mag = _c_abs(t_re, t_im)
+    quiet = np.zeros(r.size, dtype=np.int64)
+    pos = np.arange(r.size)
+    q = -0.25 * x * x
+    n = 0
+    while pos.size:
+        if n >= _SERIES_MAX_TERMS:
+            raise ConvergenceError("imaginary-order Bessel series hit the term cap")
+        n += 1
+        d_re, d_im = _c_prod(n, 0.0, n + nu_re, 0.0 + nu_im)
+        f_re, f_im = _c_quot(q, 0.0, d_re, d_im)
+        t_re, t_im = _c_prod(t_re, t_im, f_re, f_im)
+        # Kahan-compensated acc += term
+        y_re = t_re - cp_re
+        y_im = t_im - cp_im
+        s_re = acc_re + y_re
+        s_im = acc_im + y_im
+        cp_re = (s_re - acc_re) - y_re
+        cp_im = (s_im - acc_im) - y_im
+        acc_re, acc_im = s_re, s_im
+        # mag = abs(term). np.hypot is within a few ulp of libm's hypot, so
+        # only comparisons it cannot settle by a 1e-12 margin ask libm.
+        mag = np.hypot(t_re, t_im)
+        near = mag > max_mag * (1.0 - 1e-12)
+        if near.any():
+            exact = _c_abs(t_re[near], t_im[near])
+            mag[near] = exact
+            max_mag[near] = np.maximum(max_mag[near], exact)
+        thr = 1e-18 * max_mag
+        tie = ~near & (mag > thr * (1.0 - 1e-12)) & (mag < thr * (1.0 + 1e-12))
+        if tie.any():
+            mag[tie] = _c_abs(t_re[tie], t_im[tie])
+        quiet = np.where(mag < thr, quiet + 1, 0)
+        done = quiet >= _SERIES_QUIET_RUN
+        if done.any():
+            val.real[pos[done]] = acc_re[done]
+            val.imag[pos[done]] = acc_im[done]
+            err[pos[done]] = 4e-16 * max_mag[done]
+            keep = ~done
+            pos, nu_re, nu_im = pos[keep], nu_re[keep], nu_im[keep]
+            t_re, t_im, acc_re, acc_im = t_re[keep], t_im[keep], acc_re[keep], acc_im[keep]
+            cp_re, cp_im, max_mag, quiet = cp_re[keep], cp_im[keep], max_mag[keep], quiet[keep]
+    return val, err
+
+
+def _series_first_term(nu_re, nu_im, r: np.ndarray, x: float):
+    """exp(nu log(x/2) - log Gamma(1 + nu) - log cosh(pi r)) as (re, im)."""
+    lg = log_gamma_grid(_complex(1.0 + nu_re, 0.0 + nu_im))
+    lc = np.fromiter(map(log_cosh, map(float, math.pi * r)), float, count=r.size)
+    lt_re, lt_im = _c_prod(nu_re, nu_im, math.log(0.5 * x), 0.0)
+    lt = map(complex, (lt_re - lg.real) - lc, (lt_im - lg.imag) - 0.0)
+    term = np.fromiter(map(cmath.exp, lt), complex, count=r.size)
+    return term.real.copy(), term.imag.copy()
+
+
+def _hankel_batch(r: np.ndarray, x: float):
+    """_hankel_scaled over an array of r: (values, error estimates)."""
+    u = x - 0.25 * math.pi
+    cu, su = math.cos(u), math.sin(u)
+    th = np.fromiter(map(math.tanh, map(float, math.pi * r)), float, count=r.size)
+    four_nu2 = -16.0 * r * r
+    p_acc = np.zeros(r.size)
+    q_acc = np.zeros(r.size)
+    tk = np.ones(r.size)
+    best = np.full(r.size, math.inf)
+    p_out, q_out, best_out = np.empty(r.size), np.empty(r.size), np.empty(r.size)
+    pos = np.arange(r.size)
+    sign_p = sign_q = 1.0
+    kmax = int(2.5 * x) + 20
+    k = 0
+    while k < kmax and pos.size:
+        if k % 2 == 0:
+            p_acc = p_acc + sign_p * tk
+            sign_p = -sign_p
+        else:
+            q_acc = q_acc + sign_q * tk
+            sign_q = -sign_q
+        nxt = tk * (four_nu2 - (2 * k + 1) ** 2) / (8.0 * x * (k + 1))
+        mag = np.abs(nxt)
+        stop = mag >= best
+        if stop.any():
+            p_out[pos[stop]], q_out[pos[stop]] = p_acc[stop], q_acc[stop]
+            best_out[pos[stop]] = best[stop]
+            keep = ~stop
+            pos, four_nu2, p_acc, q_acc = pos[keep], four_nu2[keep], p_acc[keep], q_acc[keep]
+            mag, nxt = mag[keep], nxt[keep]
+        best = mag
+        tk = nxt
+        k += 1
+    p_out[pos], q_out[pos], best_out[pos] = p_acc, q_acc, best
+    # sqrt(2/(pi x)) * (cpart * p_acc - spart * q_acc), each product in
+    # CPython's complex form with the float operand as (value, 0.0)
+    c_re, c_im = _c_prod(cu, su * th, p_out, 0.0)
+    s_re, s_im = _c_prod(su, -cu * th, q_out, 0.0)
+    v_re, v_im = _c_prod(math.sqrt(2.0 / (math.pi * x)), 0.0, c_re - s_re, c_im - s_im)
+    return _complex(v_re, v_im), best_out
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def scaled_bessel_series_grid(r: np.ndarray, x: float) -> np.ndarray:
     """Vectorized J_{2ir_i}(x)/cosh(pi r_i) over an array of real r, x <= 36.
 
@@ -334,7 +584,7 @@ def _series_grid_prefactor(r: np.ndarray) -> tuple:
     node factors of the series, computed once per node set."""
     r = np.asarray(r, dtype=float)
     nu = 2j * r
-    lg = np.array([log_gamma_complex(1.0 + v) for v in nu])
+    lg = log_gamma_grid(1.0 + nu)
     return nu, lg, _log_cosh_vec(math.pi * r)
 
 

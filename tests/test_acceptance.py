@@ -8,14 +8,11 @@ and reused.
 
 import math
 import os
-import sys
 
 import mpmath
-import numpy as np
 import pytest
 
 import maassdensity as md
-import maassdensity.besseltransform as bt
 from maassdensity.arithmetic import kloosterman_sum, kloosterman_sum_check
 from maassdensity.specfun import bessel_j_int, dunster_xi, zeta_right_of_one
 from maassdensity.weights import default_family, make_spectral_weight

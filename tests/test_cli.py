@@ -20,6 +20,17 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_tol_flag_belongs_to_bessel_int(capsys):
+    # only bessel-int reads tol; elsewhere the flag is unknown, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["kernels", "--group", "o", "--eta", "0.8", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    rc = main(["bessel-int", "--X", "1", "--T", "5", "--method", "quadrature",
+               "--tol", "1e-6"])
+    assert rc == 0
+    assert "quadrature" in capsys.readouterr().out
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
