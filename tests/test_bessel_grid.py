@@ -9,7 +9,9 @@ pin.
 
 import contextlib
 import logging
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import maassdensity.besseltransform as bt
 import maassdensity.kuznetsov as kz
+import maassdensity.specfun as sf
 from maassdensity.errors import DomainError
 from maassdensity.kuznetsov import weight_gaussian
 from maassdensity.specfun import (
@@ -27,14 +30,17 @@ from maassdensity.specfun import (
 )
 
 
+ROUTES = ("series", "hankel", "double_double", "mpmath")
+
+
 class _RouteLog(logging.Handler):
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.counts = []
 
     def emit(self, record):
-        # args: x, nodes, series, Hankel, mpmath
-        self.counts.append(record.args[1:])
+        # args: a mapping with x, nodes and one node count per route
+        self.counts.append({k: record.args[k] for k in ("nodes", *ROUTES)})
 
 
 @contextlib.contextmanager
@@ -70,8 +76,8 @@ def test_grid_matches_scalar_bit_for_bit(r, x):
     with _routes() as counts:
         got = scaled_bessel_j_imag_grid(r, x)
     _assert_bits_equal(got, _scalar(r, x))
-    [(nodes, series, hankel, mp)] = counts
-    assert nodes == r.size == series + hankel + mp
+    [count] = counts
+    assert count["nodes"] == r.size == sum(count[k] for k in ROUTES)
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,19 +94,21 @@ def test_grid_matches_scalar_up_to_36(r, x):
 @pytest.mark.parametrize(
     "x,lo,hi,routes",
     [
-        (40.0, 20.0, 400.0, (8, 0, 0)),  # plausible series
-        (100.0, 0.0, 5.0, (0, 8, 0)),  # Hankel
-        (40.0, 15.9, 16.6, (8, 0, 0)),  # implausible: Hankel misses, series meets
-        (40.0, 8.0, 14.0, (0, 0, 8)),  # transition region: mpmath
-        (25.0, 0.0, 60.0, (7, 1, 0)),  # x <= 36: every node tries the series first
-        (5.0, 0.0, 6.0, (8, 0, 0)),  # pi r < 20: the small-argument log cosh
+        (40.0, 20.0, 400.0, {"series": 8}),  # plausible series
+        (100.0, 0.0, 5.0, {"hankel": 8}),  # Hankel
+        (40.0, 15.9, 16.6, {"series": 8}),  # implausible: Hankel misses, series meets
+        (40.0, 8.0, 14.0, {"double_double": 8}),  # transition region
+        (25.0, 0.0, 60.0, {"series": 7, "hankel": 1}),  # x <= 36: series first
+        (5.0, 0.0, 6.0, {"series": 8}),  # pi r < 20: the small-argument log cosh
+        (74.34, 15.0, 45.0, {"double_double": 8}),  # the c = 1 term of (5, 7)
+        (74.34, 8.6, 9.5, {"mpmath": 8}),  # double-double estimate 2e-10 to 1.2e-9
     ],
 )
 def test_grid_single_route_grids(x, lo, hi, routes):
     r = np.linspace(lo, hi, 8)
     with _routes() as counts:
         got = scaled_bessel_j_imag_grid(r, x)
-    assert counts == [(8, *routes)]
+    assert counts == [{"nodes": 8, **dict.fromkeys(ROUTES, 0), **routes}]
     _assert_bits_equal(got, _scalar(r, x))
     _assert_bits_equal(scaled_bessel_j_imag_grid(-r, x), _scalar(-r, x))
 
@@ -129,6 +137,65 @@ def test_osc_grid_integral_matches_scalar_dot():
     x = 37.17
     im = np.array([scaled_bessel_j_imag(v, x).value.imag for v in grid.r])
     assert grid.integral(x) == 2j * float(np.dot(grid.wrH, im))
+
+
+def _mp_reference(r, x):
+    # 40 digits beyond the up to x / ln 10 that the series cancels
+    with mpmath.workdps(40 + int(0.45 * x)):
+        v = mpmath.besselj(2j * mpmath.mpf(r), mpmath.mpf(x))
+        return complex(v / mpmath.cosh(mpmath.pi * mpmath.mpf(r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # from 1e-150: below it 4r^2 + x^2 can underflow to 0 in the target
+    # (_scale_estimate), and at 5e-324 log(x/2) fails in every series route
+    x=st.floats(1e-150, 120.0),
+    frac=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+)
+def test_double_double_route_against_mpmath(x, frac):
+    # the transition band: r from x/20 to x, around |2r| ~ x
+    r = np.sort(np.array(frac) * x)
+    target = 1e-11 * np.array([sf._scale_estimate(v, x) for v in r])
+    val, est = sf._series_dd_batch(r, x, target)
+    for i in np.flatnonzero(est <= target):
+        assert abs(val[i] - _mp_reference(r[i], x)) <= est[i]
+
+
+@pytest.fixture
+def mp_calls(monkeypatch):
+    """The r of every mpmath fallback the Bessel routes take (the fallback
+    itself is stubbed out: only the count matters here)."""
+    calls = []
+    monkeypatch.setattr(sf, "_mp_scaled", lambda r, x: calls.append(r) or 0j)
+    return calls
+
+
+@pytest.mark.parametrize("X,T", [(40.0, 21), (39.5, 41)])
+def test_dj_quadrature_takes_no_mpmath(mp_calls, X, T):
+    bt.dj_quadrature(X, T)
+    assert mp_calls == []
+
+
+def test_dj_quadrature_at_40_21_keeps_the_mpmath_value(monkeypatch):
+    # D_J(40, 21) ~ 5.4e-8 cancels by ~2e9 over its nodes: the double-double
+    # route's ~5e-15 rounding per node moves it by 1.2e-11, a Lanczos log
+    # Gamma in t_0 by 1.5e-10; against mpmath on the same nodes it must stay
+    # within 1e-10
+    got = bt.dj_quadrature(40.0, 21).value
+    dd = sf._series_dd_batch
+    monkeypatch.setattr(sf, "_series_dd_batch",
+                        lambda r, x, t: (dd(r, x, t)[0], np.full(r.size, np.inf)))
+    want = bt.dj_quadrature(40.0, 21).value
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_osc_grid_mpmath_share_at_the_c1_term_of_57(mp_calls):
+    # the g57 Gaussian of the trace-formula benchmark at x = 4 pi sqrt(35):
+    # before the double-double route, 3146 of its 3600 nodes took mpmath
+    r = kz._OscGrid(weight_gaussian(14.7, 3.675), 0.125).r
+    scaled_bessel_j_imag_grid(r, 4.0 * math.pi * math.sqrt(35.0))
+    assert len(mp_calls) <= 0.1 * r.size
 
 
 def test_grid_domain_errors():

@@ -11,9 +11,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maassdensity.errors import DomainError, OverflowGuardError, PoleError
 from maassdensity.specfun import (
+    _log_gamma_stirling,
     bessel_j_int,
     bessel_j_int_integral_check,
     dunster_leading_term,
@@ -66,6 +69,26 @@ def test_gamma_recurrence():
 def test_gamma_pole(z):
     with pytest.raises(PoleError):
         log_gamma_complex(z)
+
+
+def test_log_gamma_complex_absolute_error_on_the_one_line():
+    # a pin of a known limit, not a target: Lanczos drifts to a few 1e-13
+    # absolute for Im z >= 12 (5.1e-13 at most over 20,000 points of
+    # [1, 200]), so the double-double Bessel prefactor uses Stirling instead
+    t = np.linspace(1.0, 200.0, 400)
+    with mpmath.workdps(40):
+        want = [complex(mpmath.loggamma(mpmath.mpc(1, v))) for v in t]
+    err = [abs(log_gamma_complex(complex(1.0, v)) - w) for v, w in zip(t, want)]
+    assert max(err) <= 6e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 30.0), st.floats(0.0, 400.0))
+def test_log_gamma_stirling_within_its_rounding_bound(a, b):
+    re, im, size = _log_gamma_stirling(np.array([a]), np.array([b]))
+    with mpmath.workdps(40):
+        want = complex(mpmath.loggamma(mpmath.mpc(a, b)))
+    assert abs(complex(re[0], im[0]) - want) <= 4.0 * 2.0 ** -52 * size[0]
 
 
 def test_log_cosh_matches_direct_and_survives_large_argument():
