@@ -2,7 +2,7 @@
 computations for level 1 Maass forms.
 
 The public surface re-exports the main entry points of each module; the
-underscored module internals (grids, caches, numba kernels) are not part of
+underscored module internals (grids, caches, kernels) are not part of
 the supported API. Diagnostics, such as the scaled-Bessel route counts, go
 to the "maassdensity" logger at DEBUG; it has a NullHandler, so they stay
 silent unless the application configures logging.

@@ -1,33 +1,12 @@
-"""Numba-accelerated inner loops, with pure-Python fallbacks.
+"""The Miller recurrence for J_0..J_nmax, scalar (j_array) and batched (j_rows).
 
-Everything here is an implementation detail: the public contracts live in
-`specfun` and `arithmetic`. Each kernel has identical semantics in the jitted
-and fallback variants; the fallback keeps the package importable (and the
-tests meaningful) on machines without a working numba install.
+Everything here is an implementation detail behind `specfun` and
+`besseltransform`. The batched rows are bit-identical to the scalar ones.
 """
-
-import math
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-@njit(cache=True)
 def _miller_start(x, nmax):
     """Even start order of the downward recurrence for J_0..J_nmax at x."""
     start = int(max(nmax, x) + 16.0 * (x ** (1.0 / 3.0) + 1.0) + 24)
@@ -36,7 +15,6 @@ def _miller_start(x, nmax):
     return start
 
 
-@njit(cache=True)
 def _j_array_full(x, nmax):
     """J_0..J_nmax at x>0: downward (Miller) recurrence, Neumann-normalized.
 
@@ -72,43 +50,6 @@ def _j_array_full(x, nmax):
     for i in range(nmax + 1):
         out[i] *= inv
     return out
-
-
-@njit(cache=True)
-def _kloosterman_kernel(m, n, c, inv_table):
-    """sum_{x mod c, gcd=1} cos(2*pi*(m*x + n*xbar)/c); inv_table[x]=xbar or -1."""
-    two_pi_over_c = 2.0 * math.pi / c
-    acc = 0.0
-    comp = 0.0
-    for x in range(1, c):
-        xb = inv_table[x]
-        if xb < 0:
-            continue
-        term = math.cos(two_pi_over_c * ((m * x + n * xb) % c))
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
-
-
-@njit(cache=True)
-def _inverse_table(c):
-    """Modular inverses mod c (extended Euclid); -1 where gcd(x, c) > 1."""
-    table = np.full(c, -1, dtype=np.int64)
-    if c == 1:
-        return table
-    for x in range(1, c):
-        # extended Euclid for inverse of x mod c
-        a, b = x, c
-        u0, u1 = 1, 0
-        while b != 0:
-            q = a // b
-            a, b = b, a - q * b
-            u0, u1 = u1, u0 - q * u1
-        if a == 1:
-            table[x] = u0 % c
-    return table
 
 
 def j_array(x, nmax):

@@ -9,7 +9,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._fastpath import _inverse_table, _kloosterman_kernel
 from .errors import DomainError, VerificationError
 
 __all__ = [
@@ -39,40 +38,81 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+# c below this keeps every product of two residues inside int64
+_MODULUS_CAP = 2 ** 31
+
+
+def _check_modulus(c: int) -> int:
+    c = int(c)
+    if c < 1:
+        raise DomainError("modulus c must be >= 1")
+    if c >= _MODULUS_CAP:
+        raise DomainError(f"modulus c must be < 2^31 (int64 products), got {c}")
+    return c
+
+
 # sized to cover the default c_max = 1000, so a repeated sweep over c never
 # evicts its own entries
 @lru_cache(maxsize=1024)
 def _inv_table_cached(c: int) -> np.ndarray:
-    return _inverse_table(c)
+    """Modular inverses mod c: table[x] = xbar, or -1 where gcd(x, c) > 1.
+
+    xbar = x^(phi(c) - 1) mod c (Euler), by square-and-multiply over all
+    units at once; phi(c) is the number of units.
+    """
+    c = _check_modulus(c)
+    table = np.full(c, -1, dtype=np.int64)
+    x = np.arange(1, c, dtype=np.int64)
+    x = x[np.gcd(x, c) == 1]
+    base, e = x, max(x.size - 1, 0)
+    xb = np.ones_like(x)
+    while e:
+        if e & 1:
+            xb = xb * base % c
+        base = base * base % c
+        e >>= 1
+    table[x] = xb
+    return table
 
 
-# elements of the (a, x) block of one kloosterman_table chunk
+# elements of the (a, x) block of one _kloosterman_rows chunk
 _TABLE_BLOCK = 1 << 19
+
+
+def _kloosterman_rows(a: np.ndarray, n: int, c: int) -> np.ndarray:
+    """[S(a_i, n; c)] for c > 1 and residues 0 <= a_i, n < c.
+
+    The one Kloosterman kernel: each entry sums
+    cos(2 pi ((a_i x + n xbar) mod c) / c) over the units x mod c, pairwise
+    (numpy); the sine parts cancel under x -> -x. Rows are evaluated in
+    blocks of about _TABLE_BLOCK terms, and a row's value does not depend
+    on the block it is in.
+    """
+    inv = _inv_table_cached(c)
+    x = np.nonzero(inv >= 0)[0]
+    xb = inv[x]
+    two_pi_over_c = 2.0 * math.pi / c
+    out = np.empty(a.size)
+    step = max(1, _TABLE_BLOCK // x.size)
+    for lo in range(0, a.size, step):
+        rows = a[lo : lo + step, None]
+        terms = np.cos(two_pi_over_c * ((rows * x + n * xb) % c))
+        out[lo : lo + step] = terms.sum(axis=1)
+    return out
 
 
 @lru_cache(maxsize=1024)
 def kloosterman_table(c: int) -> np.ndarray:
     """[S(a, 1; c) for a = 0, ..., c - 1], so S(m, 1; c) = table[m % c].
 
-    Each entry sums the kernel's terms cos(2 pi ((a x + xbar) mod c) / c)
-    over the units x mod c, pairwise rather than compensated, so it agrees
-    with kloosterman_sum to rounding (well within 1e-14 c). The cached
-    array is read-only.
+    The entries come from the kernel behind kloosterman_sum, so each equals
+    kloosterman_sum(a, 1, c) bit for bit. The cached array is read-only.
     """
-    c = int(c)
-    if c < 1:
-        raise DomainError("modulus c must be >= 1")
-    out = np.ones(c)  # S(0, 1; 1) = 1
-    if c > 1:
-        inv = _inv_table_cached(c)
-        x = np.nonzero(inv >= 0)[0]
-        xb = inv[x]
-        two_pi_over_c = 2.0 * math.pi / c
-        step = max(1, _TABLE_BLOCK // x.size)
-        for lo in range(0, c, step):
-            a = np.arange(lo, min(c, lo + step))[:, None]
-            terms = np.cos(two_pi_over_c * ((a * x + xb) % c))
-            out[lo : lo + step] = terms.sum(axis=1)
+    c = _check_modulus(c)
+    if c == 1:
+        out = np.ones(1)  # S(0, 1; 1) = 1
+    else:
+        out = _kloosterman_rows(np.arange(c), 1, c)
     out.setflags(write=False)
     return out
 
@@ -81,19 +121,12 @@ def kloosterman_sum(m: int, n: int, c: int) -> float:
     """S(m, n; c) = sum over units x mod c of e((m x + n xbar)/c).
 
     The sum is real (x -> -x pairs the terms), so only the cosine part is
-    accumulated; a residual imaginary part above 1e-9 * c would indicate a
-    kernel bug and raises.
+    summed.
     """
-    m, n, c = int(m), int(n), int(c)
-    if c < 1:
-        raise DomainError("modulus c must be >= 1")
+    m, n, c = int(m), int(n), _check_modulus(c)
     if c == 1:
         return 1.0
-    m %= c
-    n %= c
-    table = _inv_table_cached(c)
-    val = _kloosterman_kernel(m, n, c, table)
-    return float(val)
+    return float(_kloosterman_rows(np.array([m % c]), n % c, c)[0])
 
 
 def kloosterman_sum_check(m: int, n: int, c: int) -> float:

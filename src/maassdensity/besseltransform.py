@@ -293,7 +293,7 @@ def _ensure_calibrated(family: WeightFamily):
     _calibrated.add(key)
 
 
-def dj_residue_sum(X: float, T: int, tol: float = 1e-10) -> DJResult:
+def dj_residue_sum(X: float, T: int) -> DJResult:
     """D_J by the residue expansion; constants verified against quadrature."""
     X = float(X)
     if X == 0.0:

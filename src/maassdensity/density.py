@@ -224,7 +224,7 @@ def convergence_scan(
                     eta,
                     f"eta = {eta} is outside the proven range "
                     f"(< {THEOREM_THRESHOLD} for the baseline weight; "
-                    f"< {extended_threshold(8):.4f} requires higher order)",
+                    f"< {extended_threshold(default_family().M):.4f} requires higher order)",
                 )
             )
     reports = []

@@ -301,7 +301,7 @@ def _series_scaled(r: float, x: float):
     the largest term; the caller decides whether that is acceptable.
     """
     nu = 2j * r
-    log_t0 = nu * math.log(0.5 * x) - log_gamma_complex(1.0 + nu) - log_cosh(math.pi * r)
+    log_t0 = nu * _log_half(x) - log_gamma_complex(1.0 + nu) - log_cosh(math.pi * r)
     term = cmath.exp(log_t0)
     acc = term
     comp = 0.0 + 0.0j
@@ -380,7 +380,17 @@ def _mp_scaled(r: float, x: float) -> complex:
 
 
 def _scale_estimate(r: float, x: float) -> float:
-    return (4.0 * r * r + x * x) ** -0.25
+    s = 4.0 * r * r + x * x
+    if s == 0.0:  # both below ~1e-162: the same bound without squaring
+        return 1.0 / math.sqrt(math.hypot(2.0 * r, x))
+    return s ** -0.25
+
+
+def _log_half(x: float) -> float:
+    """log(x/2) for x > 0, also where x/2 loses bits or underflows (x < 1e-300)."""
+    if x < 1e-300:
+        return math.log(x) - math.log(2.0)
+    return math.log(0.5 * x)
 
 
 def scaled_bessel_j_imag(r: float, x: float) -> ScaledBesselValue:
@@ -543,7 +553,7 @@ def _series_first_term(nu_re, nu_im, r: np.ndarray, x: float):
     """exp(nu log(x/2) - log Gamma(1 + nu) - log cosh(pi r)) as (re, im)."""
     lg = log_gamma_grid(_complex(1.0 + nu_re, 0.0 + nu_im))
     lc = np.fromiter(map(log_cosh, map(float, math.pi * r)), float, count=r.size)
-    lt_re, lt_im = _c_prod(nu_re, nu_im, math.log(0.5 * x), 0.0)
+    lt_re, lt_im = _c_prod(nu_re, nu_im, _log_half(x), 0.0)
     lt = map(complex, (lt_re - lg.real) - lc, (lt_im - lg.imag) - 0.0)
     term = np.fromiter(map(cmath.exp, lt), complex, count=r.size)
     return term.real.copy(), term.imag.copy()
@@ -714,7 +724,7 @@ def _series_dd_batch(r: np.ndarray, x: float, target: np.ndarray):
         return val, err
     lg_re, lg_im, lg_size = _log_gamma_stirling(np.ones(r.size), 2.0 * r)
     lc = np.fromiter(map(log_cosh, map(float, math.pi * r)), float, count=r.size)
-    phase = (2.0 * r) * math.log(0.5 * x)
+    phase = (2.0 * r) * _log_half(x)
     t0 = np.fromiter(map(cmath.exp, map(complex, -lg_re - lc, phase - lg_im)),
                      complex, count=r.size)
     t0_re, t0_im = t0.real, t0.imag
@@ -799,7 +809,7 @@ def _series_grid_prefactor(r: np.ndarray) -> tuple:
 def _series_grid_sum(pre: tuple, x: float) -> np.ndarray:
     """The power series of J_{2ir}(x)/cosh(pi r) on the nodes of `pre`."""
     nu, lg, lc = pre
-    log_t0 = nu * math.log(0.5 * x) - lg - lc
+    log_t0 = nu * _log_half(x) - lg - lc
     term = np.exp(log_t0)
     acc = term.copy()
     q = -0.25 * x * x

@@ -3,12 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maassdensity import arithmetic
 from maassdensity.arithmetic import (
     divisor_sigma_complex,
     hecke_prime_power,
     kloosterman_sum,
     kloosterman_sum_check,
+    kloosterman_table,
     primes_up_to,
     satake_from_lambda,
 )
@@ -61,6 +65,39 @@ def test_kloosterman_prime_is_not_trivial():
 def test_kloosterman_domain():
     with pytest.raises(DomainError):
         kloosterman_sum(1, 1, 0)
+
+
+_PRIMES = primes_up_to(5000).tolist()
+# primes, prime powers and composites up to 5000
+_MODULI = st.one_of(
+    st.sampled_from(_PRIMES),
+    st.sampled_from(_PRIMES[:15]).flatmap(
+        lambda p: st.integers(2, int(math.log(5000, p))).map(lambda k: p ** k)),
+    st.integers(1, 5000),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MODULI)
+def test_inverse_table_against_pow(c):
+    table = arithmetic._inv_table_cached(c)
+    want = [pow(x, -1, c) if x and math.gcd(x, c) == 1 else -1 for x in range(c)]
+    assert table.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 1000))
+def test_kloosterman_sum_against_check(m, n, c):
+    assert abs(kloosterman_sum(m, n, c) - kloosterman_sum_check(m, n, c)) <= 1e-9 * c
+
+
+def test_kloosterman_modulus_cap():
+    # above 2^31 a product of two residues can overflow int64
+    for fn in (lambda c: kloosterman_sum(1, 1, c), kloosterman_table,
+               arithmetic._inv_table_cached):
+        with pytest.raises(DomainError):
+            fn(2 ** 31)
 
 
 def test_divisor_sigma():

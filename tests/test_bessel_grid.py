@@ -216,6 +216,28 @@ def test_log_gamma_grid_matches_scalar_bit_for_bit(zs):
     _assert_bits_equal(log_gamma_grid(z), want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.lists(st.one_of(st.floats(-1e4, 1e4), st.floats(-1e-150, 1e-150)),
+               min_size=1, max_size=6),
+    x=st.one_of(st.just(5e-324), st.floats(5e-324, 1e-140)),
+)
+def test_tiny_arguments_give_finite_values(r, x):
+    # subnormal x (where x/2 underflows or loses bits) and r, x below 1e-162
+    # (where 4 r^2 + x^2 underflows) through both entry points
+    r = np.array(r)
+    got = scaled_bessel_j_imag_grid(r, x)
+    assert np.all(np.isfinite(got))
+    _assert_bits_equal(got, _scalar(r, x))
+    with mpmath.workdps(30):
+        v = float(r[0])
+        want = complex(mpmath.besselj(2j * mpmath.mpf(v), mpmath.mpf(x))
+                       / mpmath.cosh(mpmath.pi * mpmath.mpf(v)))
+    # the phase 2 r log(x/2) carries one rounding of its own size
+    phase = abs(2.0 * v * (math.log(x) - math.log(2.0)))
+    assert abs(got[0] - want) <= 1e-13 * (1.0 + phase) * abs(want)
+
+
 def test_log_gamma_grid_domain():
     with pytest.raises(DomainError):
         log_gamma_grid(np.array([1.0 + 2.0j, 0.25 + 1.0j]))

@@ -19,6 +19,7 @@ from maassdensity.density import (
 )
 from maassdensity.errors import DomainError
 from maassdensity.rmt import make_test_function
+from maassdensity.weights import set_default_weight
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,17 @@ def test_convergence_scan_flags_and_validation(engine11):
     reports, flags = convergence_scan([11], [0.5, 1.3], make_test_function, c_max=120)
     assert len(reports) == 2
     assert len(flags) == 1 and flags[0][1] == 1.3
+
+
+def test_convergence_scan_flag_names_the_default_order():
+    set_default_weight(12)
+    try:
+        _, flags = convergence_scan([], [1.3], make_test_function)
+    finally:
+        set_default_weight(8, 0.125)
+    [(_, eta, message)] = flags
+    assert eta == 1.3
+    assert f"< {extended_threshold(12):.4f} requires higher order" in message
 
 
 def test_csv_schemas(engine11):
