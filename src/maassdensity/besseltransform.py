@@ -332,31 +332,26 @@ class ResidueEvaluator:
         return min(self.k_cap, _k_max(X))
 
     def value(self, X: float) -> complex:
-        """D_J(X) from one Miller array; the reference for `values`."""
-        X = float(X)
-        if X <= 0.0:
-            return 0.0j
-        k_loc = self._k_loc(X)
-        n_loc = 2 * k_loc + 1
-        jv = j_array(X, n_loc)
-        first = 2.0 * self.T * float(np.dot(self._signed_w1[: k_loc + 1], jv[1::2]))
-        second = 0.0
-        for i in range(self._w2.size):
-            n = 2 * (i + 1) * self.T
-            if n > n_loc:
-                break
-            second += self._w2[i] * jv[n]
-        return _C1 * first + _C2_TIMES_SIGN * (self.T * self.T) * second
+        """D_J(X): a one-element `values` call.
+
+        A call costs a few ms (1.4-7.9 ms on a 2-vCPU VM); callers with many X pass them to
+        `values` at once.
+        """
+        return complex(self.values([X])[0])
 
     def values(self, X) -> np.ndarray:
-        """[value(x) for x in X], bit for bit, from one batch of Miller rows.
+        """D_J at every X of an array (0 where X <= 0), from one batch of
+        Miller rows.
 
-        The rows equal the scalar j_array arrays exactly and each is summed
-        in the scalar order (the per-row dot, then the w2 terms in sequence):
-        at large X the residue sum cancels heavily, so a reordered sum would
-        move D_J far beyond rounding of the result.
+        Each row is summed in a fixed order of its own (the per-row dot,
+        then the w2 terms in sequence), so a value does not depend on the
+        batch it is in: at large X the residue sum cancels heavily, and a
+        reordered sum would move D_J far beyond rounding of the result.
+        Raises DomainError for a non-finite X or one above X_max.
         """
         X = np.asarray(X, dtype=float).ravel()
+        if not np.all(np.isfinite(X)):
+            raise DomainError("ResidueEvaluator requires finite X")
         out = np.zeros(X.size, dtype=complex)
         live = np.nonzero(X > 0.0)[0]
         xs = X[live]

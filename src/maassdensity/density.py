@@ -73,15 +73,19 @@ class DensityReport:
         )
 
 
+def _check_T(T) -> int:
+    T = int(T)
+    if T < 5 or T % 2 == 0:
+        raise DomainError("T must be an odd integer >= 5")
+    return T
+
+
 class DensityEngine:
     """Per-T caches for density runs: total mass, conductor average, and the
     shared grids behind Avg(lambda_m)."""
 
     def __init__(self, T: int, c_max: int = 150, conductor_c_max: int = 60):
-        T = int(T)
-        if T < 5 or T % 2 == 0:
-            raise DomainError("T must be an odd integer >= 5")
-        self.T = T
+        self.T = T = _check_T(T)
         self.c_max = int(c_max)
         self.weight = weight_spectral(T)
         self.grid = _smooth_grid(self.weight)
@@ -133,10 +137,12 @@ class DensityEngine:
 def explicit_formula_average(
     T: int, phi: TestFunction, c_max: int = 150, engine: DensityEngine | None = None
 ) -> DensityReport:
-    """One-level density of the h_T-weighted family against the test function."""
-    if engine is None:
-        engine = DensityEngine(T, c_max=c_max)
-    T = engine.T
+    """One-level density of the h_T-weighted family against the test function.
+
+    The prime cap is checked before an engine is built; a passed engine's T
+    wins over the T argument.
+    """
+    T = _check_T(T) if engine is None else engine.T
     eta = phi.eta
     log_r = 2.0 * math.log(T)
     p_cap = math.exp(eta * log_r)
@@ -144,6 +150,8 @@ def explicit_formula_average(
         raise DomainError(
             f"prime cutoff T^(2 eta) = {p_cap:.3e} exceeds the prime cap"
         )
+    if engine is None:
+        engine = DensityEngine(T, c_max=c_max)
     phi0 = float(phi.phi(np.array([0.0]))[0])
     hat0 = float(phi.phi_hat(np.array([0.0]))[0])
 

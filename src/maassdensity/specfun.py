@@ -41,7 +41,7 @@ _TWO_PI = 2.0 * math.pi
 _log = logging.getLogger("maassdensity")
 
 # Lanczos approximation, g = 7, 9 terms. Validated in the test suite against
-# the reflection and duplication identities rather than against a table.
+# the reflection and duplication identities and against 40-digit mpmath.
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
     0.99999999999980993,
@@ -85,6 +85,9 @@ def _check_finite(z: complex, what: str) -> complex:
 def log_gamma_complex(z: complex) -> complex:
     """Principal-branch log Gamma via Lanczos, with reflection for Re z < 1/2.
 
+    For Re z >= 1/2 this is a one-element `log_gamma_grid` call, about
+    0.4 ms on a 2-vCPU VM; callers with many points pass them to
+    `log_gamma_grid` at once.
     Raises PoleError at the non-positive integers. Accuracy is absolute, not
     relative, and it degrades with |Im z|: on Re z = 1 against 40-digit
     mpmath (20,000 points) the error is at most 8e-14 for Im z <= 12 and
@@ -102,21 +105,16 @@ def log_gamma_complex(z: complex) -> complex:
             math.log(math.pi) - _log_sin_pi(z) - log_gamma_complex(1.0 - z),
             "log_gamma_complex",
         )
-    w = z - 1.0
-    acc = complex(_LANCZOS_COEF[0])
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    out = _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
-    return _check_finite(out, "log_gamma_complex")
+    return complex(log_gamma_grid(np.array([z]))[0])
 
 
 def log_gamma_grid(z: np.ndarray) -> np.ndarray:
-    """log_gamma_complex over an array of z with Re z >= 1/2, bit for bit.
+    """Principal log Gamma(z) over an array of z with Re z >= 1/2 (Lanczos,
+    g = 7, 9 terms); `log_gamma_complex` is its one-element view.
 
     The Lanczos sum runs on real arrays with CPython's complex formulas
-    (`_c_prod`, `_c_quot`); cmath.log stays a per-element call, so each
-    logarithm is the one the scalar routine takes.
+    (`_c_prod`, `_c_quot`) and cmath.log is a per-element call, so an
+    element's value does not depend on the batch it is in.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.real < 0.5):
@@ -152,8 +150,11 @@ def _log_gamma_block(z: np.ndarray) -> np.ndarray:
 
 # Complex arithmetic on (real, imaginary) array pairs with the formulas of
 # CPython's _Py_c_prod and _Py_c_quot (a Python float operand enters as
-# (value, 0.0)), so batched routes reproduce the scalar complex code bit for
-# bit; numpy's own complex multiply, divide and abs round differently.
+# (value, 0.0)); numpy's own complex multiply, divide and abs round
+# differently. These formulas, and the per-element libm calls below, exist
+# only to hold today's grid outputs bit for bit (the D_J quadrature at
+# X > 36 cancels by up to 5e10); relax them only together with a
+# cancellation-aware accuracy contract for D_J.
 
 
 def _c_prod(a_re, a_im, b_re, b_im):
@@ -172,9 +173,9 @@ def _c_quot(a_re, a_im, b_re, b_im):
     return re / denom, im / denom
 
 
-# Per-element calls of the scalar routes' libm functions (numpy's ufuncs do
-# not reproduce them bit for bit); np.fromiter over map keeps one element's
-# Python objects alive at a time.
+# Per-element calls of libm through math/cmath (numpy's ufuncs round some
+# inputs differently); np.fromiter over map keeps one element's Python
+# objects alive at a time.
 
 
 def _c_abs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -294,81 +295,6 @@ _SERIES_QUIET_RUN = 40
 _TARGET_REL = 1e-11
 
 
-def _series_scaled(r: float, x: float):
-    """Power series for J_{2ir}(x)/cosh(pi r), log-scaled leading factor.
-
-    Returns (value, error_estimate). The error estimate is rounding noise at
-    the largest term; the caller decides whether that is acceptable.
-    """
-    nu = 2j * r
-    log_t0 = nu * _log_half(x) - log_gamma_complex(1.0 + nu) - log_cosh(math.pi * r)
-    term = cmath.exp(log_t0)
-    acc = term
-    comp = 0.0 + 0.0j
-    max_mag = abs(term)
-    quiet = 0
-    q = -0.25 * x * x
-    n = 0
-    while n < _SERIES_MAX_TERMS:
-        n += 1
-        term *= q / (n * (n + nu))
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        mag = abs(term)
-        if mag > max_mag:
-            max_mag = mag
-        if mag < 1e-18 * max_mag:
-            quiet += 1
-            if quiet >= _SERIES_QUIET_RUN:
-                return acc, 4e-16 * max_mag
-        else:
-            quiet = 0
-    raise ConvergenceError("imaginary-order Bessel series hit the term cap")
-
-
-def _hankel_scaled(r: float, x: float):
-    """Large-argument (Hankel) expansion of J_{2ir}(x)/cosh(pi r).
-
-    With nu = 2ir the trigonometric prefactors cos/sin(x - nu pi/2 - pi/4)
-    divided by cosh(pi r) reduce to bounded real/imaginary combinations with
-    tanh(pi r), so the whole evaluation stays in safe binary64 range.
-
-    Returns (value, error_estimate); the estimate is the smallest term of the
-    (divergent) asymptotic series, reached before truncation.
-    """
-    u = x - 0.25 * math.pi
-    th = math.tanh(math.pi * r)
-    cpart = complex(math.cos(u), math.sin(u) * th)
-    spart = complex(math.sin(u), -math.cos(u) * th)
-    four_nu2 = -16.0 * r * r  # 4*nu^2 for nu = 2ir
-    p_acc = 0.0
-    q_acc = 0.0
-    tk = 1.0  # a_k / x^k, signed factors applied when accumulated
-    best = math.inf
-    k = 0
-    sign_p = 1.0
-    sign_q = 1.0
-    kmax = int(2.5 * x) + 20
-    while k < kmax:
-        if k % 2 == 0:
-            p_acc += sign_p * tk
-            sign_p = -sign_p
-        else:
-            q_acc += sign_q * tk
-            sign_q = -sign_q
-        nxt = tk * (four_nu2 - (2 * k + 1) ** 2) / (8.0 * x * (k + 1))
-        mag = abs(nxt)
-        if mag >= best:
-            break
-        best = mag
-        tk = nxt
-        k += 1
-    val = math.sqrt(2.0 / (math.pi * x)) * (cpart * p_acc - spart * q_acc)
-    return val, best
-
-
 def _mp_scaled(r: float, x: float) -> complex:
     """Arbitrary-precision fallback for the cancellation regime."""
     import mpmath as mp
@@ -394,58 +320,34 @@ def _log_half(x: float) -> float:
 
 
 def scaled_bessel_j_imag(r: float, x: float) -> ScaledBesselValue:
-    """J_{2ir}(x)/cosh(pi r) for real r and x > 0.
+    """J_{2ir}(x)/cosh(pi r) for real r and x > 0: a one-node
+    `scaled_bessel_j_imag_grid` call.
 
-    Route choice: power series where its cancellation is below target,
-    Hankel expansion for large argument, the double-double series in the
-    transition region around |2r| ~ x where neither binary64 route reaches
-    the 1e-11 target, and mpmath where that misses it too. Satisfies
-    value(-r, x) = conj(value(r, x)) exactly.
+    A call costs about 2-30 ms on a 2-vCPU VM (the transition band
+    |2r| ~ x, where the double-double route runs, is the dear end), far
+    more than a node of a batch: callers with many r at one x pass them to
+    `scaled_bessel_j_imag_grid` at once.
     """
     r = float(r)
     x = float(x)
-    if not x > 0.0:
-        raise DomainError("scaled_bessel_j_imag requires x > 0")
-    if abs(r) > 1.0e4:
-        raise DomainError("scaled_bessel_j_imag requires |r| <= 1e4")
-    if r < 0.0:
-        v = scaled_bessel_j_imag(-r, x).value
-        return ScaledBesselValue(value=v.conjugate(), r=r, x=x)
-
-    scale = _scale_estimate(r, x)
-    target = _TARGET_REL * scale
-
-    # Series first unless it is predictably hopeless.
-    series_plausible = x <= 36.0 or 8.0 * r >= x * x / 12.0
-    if series_plausible:
-        val, err = _series_scaled(r, x)
-        if err <= target:
-            return ScaledBesselValue(value=val, r=r, x=x)
-    if x > 20.0:
-        val, err = _hankel_scaled(r, x)
-        if err <= target:
-            return ScaledBesselValue(value=val, r=r, x=x)
-        if not series_plausible:
-            val, err = _series_scaled(r, x)
-            if err <= target:
-                return ScaledBesselValue(value=val, r=r, x=x)
-    # a one-node batch: the grid's transition route, bit for bit
-    val, err = _series_dd_batch(np.array([r]), x, np.array([target]))
-    if err[0] <= target:
-        return ScaledBesselValue(value=complex(val[0]), r=r, x=x)
-    return ScaledBesselValue(value=_mp_scaled(r, x), r=r, x=x)
+    value = complex(scaled_bessel_j_imag_grid(np.array([r]), x)[0])
+    return ScaledBesselValue(value=value, r=r, x=x)
 
 
 def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
-    """scaled_bessel_j_imag(r_i, x).value for every r_i of an array, bit for bit.
+    """J_{2ir_i}(x)/cosh(pi r_i) for every real r_i of an array, x > 0.
 
-    Each node takes the scalar route: the series where it is plausible, the
-    Hankel expansion where the series misses its target, the series for the
-    remaining implausible nodes, the double-double series for the nodes
-    still left, and mpmath for those it misses. The series, Hankel and
-    double-double sums run over all their nodes at once with per-node state
-    only; a node leaves the active arrays when its sum stops. The route
-    counts go to the "maassdensity" logger at DEBUG.
+    Each node takes the first route that meets its target 1e-11 s(r, x),
+    with s = (4r^2 + x^2)^(-1/4) the scale of the value (`_scale_estimate`):
+    the power series where it is plausible (x <= 36 or 8r >= x^2/12), the
+    Hankel expansion (x > 20), the series for the remaining implausible
+    nodes, the double-double series for the nodes still left (the
+    transition band |2r| ~ x), and mpmath for those it misses. The series,
+    Hankel and double-double sums run over all their nodes at once with
+    per-node state only; a node leaves the active arrays when its sum stops,
+    so a node's value does not depend on the batch it is in. Satisfies
+    value(-r, x) = conj(value(r, x)) exactly. The route counts go to the
+    "maassdensity" logger at DEBUG.
     """
     x = float(x)
     r = np.asarray(r, dtype=float)
@@ -495,7 +397,13 @@ def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
 
 
 def _series_batch(r: np.ndarray, x: float):
-    """_series_scaled over an array of r >= 0: (values, error estimates)."""
+    """Power series of J_{2ir}(x)/cosh(pi r) over an array of r >= 0.
+
+    Kahan-compensated, from the log-scaled leading term; a node stops after
+    40 terms in a row below 1e-18 of its largest. Returns (values, error
+    estimates); an estimate is rounding noise at the largest term, and the
+    caller decides whether that is acceptable.
+    """
     val = np.empty(r.size, dtype=complex)
     err = np.empty(r.size)
     if r.size == 0:
@@ -560,7 +468,15 @@ def _series_first_term(nu_re, nu_im, r: np.ndarray, x: float):
 
 
 def _hankel_batch(r: np.ndarray, x: float):
-    """_hankel_scaled over an array of r: (values, error estimates)."""
+    """Large-argument (Hankel) expansion of J_{2ir}(x)/cosh(pi r) over an
+    array of r.
+
+    With nu = 2ir the trigonometric prefactors cos/sin(x - nu pi/2 - pi/4)
+    divided by cosh(pi r) reduce to bounded real/imaginary combinations with
+    tanh(pi r), so the whole evaluation stays in safe binary64 range.
+    Returns (values, error estimates); an estimate is the smallest term of
+    the (divergent) asymptotic series, reached before truncation.
+    """
     u = x - 0.25 * math.pi
     cu, su = math.cos(u), math.sin(u)
     th = np.fromiter(map(math.tanh, map(float, math.pi * r)), float, count=r.size)
@@ -594,8 +510,9 @@ def _hankel_batch(r: np.ndarray, x: float):
         tk = nxt
         k += 1
     p_out[pos], q_out[pos], best_out[pos] = p_acc, q_acc, best
-    # sqrt(2/(pi x)) * (cpart * p_acc - spart * q_acc), each product in
-    # CPython's complex form with the float operand as (value, 0.0)
+    # sqrt(2/(pi x)) * (cpart * p_acc - spart * q_acc) with cpart = cos u +
+    # i sin(u) th and spart = sin u - i cos(u) th, each product in CPython's
+    # complex form with the float operand as (value, 0.0)
     c_re, c_im = _c_prod(cu, su * th, p_out, 0.0)
     s_re, s_im = _c_prod(su, -cu * th, q_out, 0.0)
     v_re, v_im = _c_prod(math.sqrt(2.0 / (math.pi * x)), 0.0, c_re - s_re, c_im - s_im)

@@ -1,10 +1,16 @@
-"""The batched density kernel against its scalar references.
+"""The batched density kernel: accuracy against independent oracles, and
+batch independence.
 
-Batched Miller rows and `ResidueEvaluator.values` must match the scalar
-recurrence bit for bit (the residue sum cancels heavily at large X, so any
-reordering shows in the density splits); the Kloosterman tables agree with
-the kernel to rounding; the engine memoises Avg(lambda_m) and builds each
-report's error budget from the m it used.
+Miller rows (`j_rows`) are checked against scipy.special.jv, and
+`ResidueEvaluator.values` against `_residue_value`, which sums the residue
+series in another order. The scalar entry points `j_array` and
+`ResidueEvaluator.value` are one-element calls of the batch functions (each
+call costs milliseconds; pass many points to the batch), so the bit-for-bit
+tests here check that a row's bits do not depend on the batch it is in: the
+residue sum cancels heavily at large X, and a row that moved with its batch
+would move the density splits. The Kloosterman tables agree with the
+kernel; the engine memoises Avg(lambda_m) and builds each report's error
+budget from the m it used.
 """
 
 import math
@@ -13,12 +19,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from maassdensity import _fastpath as fastpath
 from maassdensity import arithmetic
-from maassdensity._fastpath import _j_array_full, j_array, j_rows
+from maassdensity._fastpath import j_array, j_rows
 from maassdensity.arithmetic import kloosterman_sum, kloosterman_table
-from maassdensity.besseltransform import ResidueEvaluator
+from maassdensity.besseltransform import (
+    ResidueEvaluator,
+    _first_family_terms,
+    _residue_value,
+)
 from maassdensity.density import DensityEngine, explicit_formula_average
 from maassdensity.rmt import make_test_function
 from maassdensity.weights import default_family
@@ -60,8 +71,24 @@ def test_j_rows_bit_identical_to_scalar_recurrence(rows):
     out = j_rows(xs, nmax)
     assert out.shape == (len(rows), nmax.max() + 1)
     for row, (x, n) in zip(out, rows):
-        assert np.array_equal(_bits(row[: n + 1]), _bits(_j_array_full(x, n)))
+        assert np.array_equal(_bits(row[: n + 1]), _bits(j_array(x, n)))
         assert not np.any(row[n + 1 :])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-250.0, 250.0), st.integers(0, 700)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_j_rows_against_scipy(rows):
+    xs = np.array([x for x, _ in rows])
+    out = j_rows(xs, np.array([n for _, n in rows]))
+    for row, (x, n) in zip(out, rows):
+        want = jv(np.arange(n + 1), x)
+        assert np.max(np.abs(row[: n + 1] - want)) <= 1e-13
 
 
 def test_j_rows_bit_identical_across_blocks(monkeypatch):
@@ -71,7 +98,7 @@ def test_j_rows_bit_identical_across_blocks(monkeypatch):
     nmax = np.array([800, 3, 120, 60, 500, 400, 9, 2])
     out = j_rows(xs, nmax)
     for row, x, n in zip(out, xs, nmax):
-        assert np.array_equal(_bits(row[: n + 1]), _bits(_j_array_full(x, n)))
+        assert np.array_equal(_bits(row[: n + 1]), _bits(j_array(x, n)))
         assert not np.any(row[n + 1 :])
 
 
@@ -108,6 +135,20 @@ def test_residue_values_density_row():
     xs = root / np.arange(1, 151)
     want = np.array([ev.value(x) for x in xs], dtype=complex)
     assert np.array_equal(_bits(ev.values(xs)), _bits(want))
+
+
+def test_residue_values_against_residue_value():
+    # _residue_value sums the first family with np.sum and takes each
+    # second-family J from its own Miller run; the two agree to a few
+    # roundings of the first family's terms (measured: 6.4 at most)
+    ev = _evaluator()
+    root = 4.0 * math.pi * math.sqrt(317.0)
+    xs = np.concatenate([root / np.arange(1, 151), np.linspace(0.01, 230.0, 60)])
+    for x, got in zip(xs, ev.values(xs)):
+        want = _residue_value(ev.family, x, ev.T)[0]
+        terms, _ = _first_family_terms(ev.family, x, ev.T)
+        rho = 2.0 ** -52 * 2.0 * ev.T * np.sum(np.abs(terms))
+        assert abs(got - want) <= 64.0 * rho
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,12 @@
-"""The batched imaginary-order Bessel grid against the scalar routes.
+"""The batched imaginary-order Bessel grid and log Gamma: accuracy against
+40-digit mpmath, and batch independence.
 
-`scaled_bessel_j_imag_grid` must reproduce `scaled_bessel_j_imag` bit for
-bit on every node, and `log_gamma_grid` must reproduce `log_gamma_complex`:
-at the X > 36 quadrature points of D_J the weighted sum cancels by a factor
-of 2e8 to 5e10, so one ulp of noise per node would move D_J past its 1e-10
-pin.
+`scaled_bessel_j_imag` and `log_gamma_complex` are one-element calls of
+`scaled_bessel_j_imag_grid` and `log_gamma_grid` (milliseconds a call; pass
+many points to the grid), so the bit-for-bit tests here check that a node's
+bits do not depend on the batch it is in: at the X > 36 quadrature points
+of D_J the weighted sum cancels by a factor of 2e8 to 5e10, so one ulp of
+noise per node would move D_J past its 1e-10 pin.
 """
 
 import contextlib
@@ -63,6 +65,7 @@ def _assert_bits_equal(got, want):
 
 
 def _scalar(r, x):
+    """Each node alone, through the scalar entry point (a one-node grid)."""
     return np.array([scaled_bessel_j_imag(v, x).value for v in r])
 
 
@@ -115,27 +118,36 @@ def test_grid_single_route_grids(x, lo, hi, routes):
 
 @pytest.mark.parametrize("X,T", [(40.0, 21), (39.5, 41)])
 def test_im_scaled_grid_on_dj_quadrature_nodes(monkeypatch, X, T):
+    # the real node sets of D_J(X, T): the whole array, its two halves and
+    # the reversed array give the same bits
     seen = []
 
-    def checked(r_nodes, x):
+    def recorded(r_nodes, x):
         got = grid(r_nodes, x)
-        want = np.array([scaled_bessel_j_imag(v, x).value.imag for v in r_nodes])
-        assert np.array_equal(got, want)
-        seen.append(r_nodes.size)
+        seen.append((r_nodes, got))
         return got
 
     grid = bt._im_scaled_grid
-    monkeypatch.setattr(bt, "_im_scaled_grid", checked)
+    monkeypatch.setattr(bt, "_im_scaled_grid", recorded)
     bt.dj_quadrature(X, T)
-    assert len(seen) == 2 and min(seen) > 10_000  # the coarse and the fine pass
+    assert len(seen) == 2 and min(r.size for r, _ in seen) > 10_000  # coarse, fine
+    for r, got in seen:
+        whole = scaled_bessel_j_imag_grid(r, X)
+        assert np.array_equal(got, whole.imag)
+        h = r.size // 2
+        halves = np.concatenate([scaled_bessel_j_imag_grid(r[:h], X),
+                                 scaled_bessel_j_imag_grid(r[h:], X)])
+        _assert_bits_equal(halves, whole)
+        _assert_bits_equal(scaled_bessel_j_imag_grid(r[::-1], X)[::-1], whole)
 
 
 def test_osc_grid_integral_matches_scalar_dot():
     # the trace-formula grid of a Gaussian weight at x = 4 pi sqrt(35) / 2;
-    # np.dot must see the same contiguous array the scalar route built
+    # np.dot must see a contiguous array (BLAS sums a strided view in
+    # another order)
     grid = kz._OscGrid(weight_gaussian(14.7, 3.675), 0.125)
     x = 37.17
-    im = np.array([scaled_bessel_j_imag(v, x).value.imag for v in grid.r])
+    im = np.ascontiguousarray(scaled_bessel_j_imag_grid(grid.r, x).imag)
     assert grid.integral(x) == 2j * float(np.dot(grid.wrH, im))
 
 
@@ -144,6 +156,18 @@ def _mp_reference(r, x):
     with mpmath.workdps(40 + int(0.45 * x)):
         v = mpmath.besselj(2j * mpmath.mpf(r), mpmath.mpf(x))
         return complex(v / mpmath.cosh(mpmath.pi * mpmath.mpf(r)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    r=st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=12),
+    x=st.floats(1e-3, 120.0),
+)
+def test_grid_against_mpmath(r, x):
+    # every route, against the grid's own target 1e-11 (4r^2 + x^2)^(-1/4)
+    got = scaled_bessel_j_imag_grid(np.array(r), x)
+    for v, g in zip(r, got):
+        assert abs(g - _mp_reference(v, x)) <= 1e-11 * sf._scale_estimate(v, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,6 +238,19 @@ def test_log_gamma_grid_matches_scalar_bit_for_bit(zs):
     z = np.array([complex(a, b) for a, b in zs])
     want = np.array([log_gamma_complex(v) for v in z])
     _assert_bits_equal(log_gamma_grid(z), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.5, 60.0), st.floats(-3000.0, 3000.0)),
+             min_size=1, max_size=12)
+)
+def test_log_gamma_grid_against_mpmath(zs):
+    got = log_gamma_grid(np.array([complex(a, b) for a, b in zs]))
+    with mpmath.workdps(40):
+        want = [complex(mpmath.loggamma(mpmath.mpc(a, b))) for a, b in zs]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * (1.0 + abs(w))
 
 
 @settings(max_examples=40, deadline=None)

@@ -85,6 +85,15 @@ def test_residue_evaluator_matches_single_shot():
         ev.value(25.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_residue_evaluator_rejects_non_finite_x(bad):
+    ev = bt.ResidueEvaluator(default_family(), 11, 20.0)
+    with pytest.raises(DomainError):
+        ev.values([1.0, bad])
+    with pytest.raises(DomainError):
+        ev.value(bad)
+
+
 def test_calibration_gate_catches_wrong_constant(monkeypatch):
     monkeypatch.setattr(bt, "_C1", -1.02j)
     monkeypatch.setattr(bt, "_calibrated", set())

@@ -5,6 +5,7 @@ the exact assembly identity, cutoffs, and guard rails, all at small T.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,10 +73,19 @@ def test_prime_sq_much_smaller_than_prime(engine11):
     assert abs(rep.prime_sq_term) < 0.5 * abs(rep.prime_term)
 
 
-def test_cost_guard_on_large_support():
+def test_cost_guard_on_large_support(monkeypatch):
+    # the guard depends on T and eta only: it must fire before any engine
+    # is built (DensityEngine(81) takes 40-80 s)
+    def no_engine(*args, **kwargs):
+        raise AssertionError("DensityEngine built before the cost guard")
+
+    monkeypatch.setattr(DensityEngine, "__init__", no_engine)
     phi = make_test_function(4.0)
     with pytest.raises(DomainError):
         explicit_formula_average(81, phi)
+    # with an engine passed in, its T decides
+    with pytest.raises(DomainError):
+        explicit_formula_average(5, phi, engine=SimpleNamespace(T=81))
 
 
 def test_thresholds():
