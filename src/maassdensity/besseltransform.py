@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fastpath import j_array, j_rows
+from ._fastpath import _BLOCK_BYTES, j_array, j_rows
 from .errors import CalibrationError, DomainError, RegimeError
 from .specfun import (
     dunster_xi,
@@ -28,6 +28,7 @@ from .weights import (
     WeightFamily,
     default_family,
     g_tilde_eval,
+    gauss_legendre,
     make_spectral_weight,
     make_weight_family,
 )
@@ -121,7 +122,7 @@ def _osc_panel_edges(r_max: float, X: float, width_factor: float) -> np.ndarray:
     return np.array(edges)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_X, _GL_W = gauss_legendre(16)
 
 
 def _gl_panels(edges: np.ndarray) -> tuple:
@@ -311,6 +312,12 @@ class ResidueEvaluator:
     Precomputes the half-integer weight vector W(k) = x^2 h(x)/sin(pi x) and
     the k^2 h(k) factors once, so a density-style consumer can evaluate D_J
     at hundreds of thousands of arguments X = 4 pi sqrt(mn)/c cheaply.
+
+    The values depend on X_max in the last bit: the weight vectors come
+    from one matrix-vector product over all k <= k_cap, whose rounding
+    varies with the row count, so two evaluators of different X_max may
+    differ by an ulp in a weight and hence in D_J. Callers that need
+    reproducible bits size one evaluator for all their arguments.
     """
 
     def __init__(self, family: WeightFamily, T: int, X_max: float):
@@ -340,22 +347,36 @@ class ResidueEvaluator:
         return complex(self.values([X])[0])
 
     def values(self, X) -> np.ndarray:
-        """D_J at every X of an array (0 where X <= 0), from one batch of
+        """D_J at every X of an array (0 where X <= 0), from batches of
         Miller rows.
 
         Each row is summed in a fixed order of its own (the per-row dot,
         then the w2 terms in sequence), so a value does not depend on the
         batch it is in: at large X the residue sum cancels heavily, and a
         reordered sum would move D_J far beyond rounding of the result.
-        Raises DomainError for a non-finite X or one above X_max.
+        The X run in descending order, in chunks whose Miller rows stay
+        under the recurrence's block size, so memory is bounded for any
+        number of X. Raises DomainError for a non-finite X or one above
+        X_max.
         """
         X = np.asarray(X, dtype=float).ravel()
         if not np.all(np.isfinite(X)):
             raise DomainError("ResidueEvaluator requires finite X")
         out = np.zeros(X.size, dtype=complex)
         live = np.nonzero(X > 0.0)[0]
-        xs = X[live]
-        k_loc = np.array([self._k_loc(x) for x in xs.tolist()], dtype=np.int64)
+        live = live[np.argsort(-X[live], kind="stable")]
+        k_loc = np.array([self._k_loc(x) for x in X[live].tolist()], dtype=np.int64)
+        lo = 0
+        while lo < live.size:
+            # k_loc falls with X: the chunk's first row is its widest
+            step = max(1, _BLOCK_BYTES // (8 * (2 * int(k_loc[lo]) + 2)))
+            idx = live[lo : lo + step]
+            out[idx] = self._chunk(X[idx], k_loc[lo : lo + step])
+            lo += step
+        return out
+
+    def _chunk(self, xs: np.ndarray, k_loc: np.ndarray) -> np.ndarray:
+        """D_J at xs > 0 with first-family cutoffs k_loc, from one j_rows call."""
         n_loc = 2 * k_loc + 1
         jv = j_rows(xs, n_loc)
         second = np.zeros(xs.size)
@@ -366,9 +387,10 @@ class ResidueEvaluator:
                 break
             np.add(second, self._w2[i] * jv[:, n], out=second, where=rows)
         c2 = _C2_TIMES_SIGN * (self.T * self.T)
+        out = np.empty(xs.size, dtype=complex)
         for j, (k, row) in enumerate(zip(k_loc.tolist(), jv)):
             dot = np.dot(self._signed_w1[: k + 1], row[1 : 2 * k + 2 : 2])
-            out[live[j]] = _C1 * (2.0 * self.T * float(dot)) + c2 * second[j]
+            out[j] = _C1 * (2.0 * self.T * float(dot)) + c2 * second[j]
         return out
 
 

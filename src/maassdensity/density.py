@@ -102,36 +102,77 @@ class DensityEngine:
             )
         return self._residue
 
-    def kloosterman_average(self, m: int) -> tuple:
-        """(2i/pi) sum_c S(m,1;c)/c D(4 pi sqrt(m)/c) / mass, split at the
-        stationary scale c* = 4 pi sqrt(m)/T, with its tail budget."""
-        root = 4.0 * math.pi * math.sqrt(m)
-        ev = self._evaluator(root)
-        s = np.array([kloosterman_table(c)[m % c] for c in range(1, self.c_max + 1)])
-        cs = np.nonzero(s)[0] + 1
-        small_c, large_c, tail = _kloosterman_c_sum(
-            cs, s[cs - 1], ev.values(root / cs), root, self.c_max, root / self.T
-        )
+    def fill_lambdas(self, ms) -> None:
+        """Memoise Avg(lambda_m) for every m >= 2 of ms, in one batch.
+
+        Avg(lambda_m) is the Eisenstein part plus the Kloosterman part
+        (2i/pi) sum_c S(m,1;c)/c D(4 pi sqrt(m)/c) / mass, split at the
+        stationary scale c* = 4 pi sqrt(m)/T, with its tail budget. Every
+        X = 4 pi sqrt(m)/c with S(m,1;c) != 0 of the new m goes through one
+        evaluator call, sized for the largest m; each m is then summed in c
+        order on its own.
+        """
+        ms = sorted({int(m) for m in ms} - self._lambdas.keys() - {1})
+        if not ms:
+            return
+        mm = np.array(ms, dtype=np.int64)
+        # S(m, 1; c): row m, column c - 1
+        s = np.array(
+            [kloosterman_table(c)[mm % c] for c in range(1, self.c_max + 1)]
+        ).T
+        roots = 4.0 * math.pi * np.sqrt(mm)
+        nonzero = s != 0.0
+        c = np.arange(1, self.c_max + 1)
+        vals = self._evaluator(roots[-1]).values((roots[:, None] / c)[nonzero])
+        ends = np.cumsum(nonzero.sum(axis=1)).tolist()
         to_real = lambda z: ((2j / math.pi) * z).real
-        return (
-            (to_real(small_c) + to_real(large_c)) / self.mass,
-            to_real(small_c) / self.mass,
-            to_real(large_c) / self.mass,
-            tail / self.mass,
-        )
+        for m, root, s_m, nz, lo, hi in zip(
+            ms, roots.tolist(), s, nonzero, [0] + ends, ends
+        ):
+            small_c, large_c, tail = _kloosterman_c_sum(
+                c[nz], s_m[nz], vals[lo:hi], root, self.c_max, root / self.T
+            )
+            small_c, large_c = to_real(small_c), to_real(large_c)
+            eis = self.grid.eisenstein_contribution(m, 1) / self.mass
+            self._lambdas[m] = (
+                eis + (small_c + large_c) / self.mass,
+                small_c / self.mass,
+                large_c / self.mass,
+                tail / self.mass,
+            )
 
     def averaged_lambda(self, m: int) -> tuple:
         """(Avg(lambda_m), small-c part, large-c part) of the Kloosterman piece.
 
-        Memoised per m with its tail budget: eta scans on one engine reuse
-        every m they share."""
+        A one-m view of fill_lambdas. Memoised per m with its tail budget:
+        eta scans on one engine reuse every m they share."""
         if m == 1:
             return 1.0, 0.0, 0.0
         if m not in self._lambdas:
-            eis = self.grid.eisenstein_contribution(m, 1) / self.mass
-            klo, small_c, large_c, tail = self.kloosterman_average(m)
-            self._lambdas[m] = (eis + klo, small_c, large_c, tail)
+            self.fill_lambdas([m])
         return self._lambdas[m][:3]
+
+
+def _prime_support(T: int, phi: TestFunction) -> tuple:
+    """The primes of the prime sum and of the prime-square sum for phi at T.
+
+    Each is a list of (p, log p, phi-hat) in ascending p, kept only where
+    phi-hat != 0. Raises DomainError when T^(2 eta) passes the prime cap.
+    """
+    log_r = 2.0 * math.log(T)
+    p_cap = math.exp(phi.eta * log_r)
+    if p_cap > _PRIME_CAP:
+        raise DomainError(
+            f"prime cutoff T^(2 eta) = {p_cap:.3e} exceeds the prime cap"
+        )
+
+    def terms(limit: float, power: float) -> list:
+        ps = primes_up_to(int(limit)).tolist()
+        logs = [math.log(p) for p in ps]
+        hats = phi.phi_hat(power * np.array(logs) / log_r).tolist()
+        return [t for t in zip(ps, logs, hats) if t[2] != 0.0]
+
+    return terms(p_cap, 1.0), terms(math.exp(0.5 * phi.eta * log_r), 2.0)
 
 
 def explicit_formula_average(
@@ -145,13 +186,10 @@ def explicit_formula_average(
     T = _check_T(T) if engine is None else engine.T
     eta = phi.eta
     log_r = 2.0 * math.log(T)
-    p_cap = math.exp(eta * log_r)
-    if p_cap > _PRIME_CAP:
-        raise DomainError(
-            f"prime cutoff T^(2 eta) = {p_cap:.3e} exceeds the prime cap"
-        )
+    primes, roots = _prime_support(T, phi)
     if engine is None:
         engine = DensityEngine(T, c_max=c_max)
+    engine.fill_lambdas([p for p, _, _ in primes] + [p * p for p, _, _ in roots])
     phi0 = float(phi.phi(np.array([0.0]))[0])
     hat0 = float(phi.phi_hat(np.array([0.0]))[0])
 
@@ -164,12 +202,8 @@ def explicit_formula_average(
     split_lp_lc = 0.0
     split_sp = 0.0
     budget = 0.0  # Kloosterman tail budgets of the m used by this report
-    for p in primes_up_to(int(p_cap)):
-        p = int(p)
-        hat = float(phi.phi_hat(np.array([math.log(p) / log_r]))[0])
-        if hat == 0.0:
-            continue
-        coef = 2.0 * math.log(p) / (math.sqrt(p) * log_r) * hat
+    for p, log_p, hat in primes:
+        coef = 2.0 * log_p / (math.sqrt(p) * log_r) * hat
         avg, small_c, large_c = engine.averaged_lambda(p)
         budget += engine._lambdas[p][3]
         prime_term += coef * avg
@@ -180,12 +214,8 @@ def explicit_formula_average(
             split_sp += coef * (small_c + large_c)
 
     prime_sq_term = 0.0
-    for p in primes_up_to(int(math.exp(0.5 * eta * log_r))):
-        p = int(p)
-        hat = float(phi.phi_hat(np.array([2.0 * math.log(p) / log_r]))[0])
-        if hat == 0.0:
-            continue
-        coef = 2.0 * math.log(p) / (p * log_r) * hat
+    for p, log_p, hat in roots:
+        coef = 2.0 * log_p / (p * log_r) * hat
         avg, _, _ = engine.averaged_lambda(p * p)
         budget += engine._lambdas[p * p][3]
         prime_sq_term += coef * avg
@@ -237,11 +267,16 @@ def convergence_scan(
             )
     reports = []
     for T in T_list:
+        phis = [phi_factory(eta) for eta in eta_list]
+        ms = set()
+        for phi in phis:
+            primes, roots = _prime_support(T, phi)
+            ms.update(p for p, _, _ in primes)
+            ms.update(p * p for p, _, _ in roots)
         engine = DensityEngine(T, c_max=c_max)
-        for eta in eta_list:
-            reports.append(
-                explicit_formula_average(T, phi_factory(eta), c_max=c_max, engine=engine)
-            )
+        engine.fill_lambdas(ms)
+        for phi in phis:
+            reports.append(explicit_formula_average(T, phi, engine=engine))
     return reports, flags
 
 

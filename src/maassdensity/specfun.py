@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._fastpath import j_array
 from .errors import ConvergenceError, DomainError, OverflowGuardError, PoleError
@@ -260,8 +259,11 @@ def _bessel_j_series(n: int, x: float) -> float:
 def bessel_j_int_integral_check(k: int, x: float) -> float:
     """J_k(2*pi*x) by direct quadrature of the oscillatory integral formula.
 
-    Independent slow route used as an oracle for bessel_j_int.
+    Independent slow route used as an oracle for bessel_j_int. scipy.integrate
+    is imported here, its one use, so that importing the package skips it.
     """
+    from scipy.integrate import quad
+
     k = int(k)
     if abs(k) > 10_000:
         raise DomainError("|k| too large for the integral check")

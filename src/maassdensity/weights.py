@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainError, OverflowGuardError, PoleError
 
@@ -28,9 +30,46 @@ __all__ = [
     "bump",
     "g_tilde_eval",
     "g_fourier_transform",
+    "gauss_legendre",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+@lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
+    numpy.polynomial.legendre.leggauss(n); computed once per n and shared
+    read-only.
+
+    leggauss takes its first nodes from a dense O(n^3) eigensolve of the
+    n x n companion matrix, which for Legendre is the symmetric tridiagonal
+    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969). Here the
+    eigenvalues come from its diagonal (zero) and off-diagonal, built as
+    legcompanion builds them; the Newton step, the weight formula, the
+    symmetrisation and the normalisation are leggauss's own.
+    """
+    n = int(n)
+    if n < 1:
+        raise DomainError("Gauss-Legendre order must be >= 1")
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:])
+    # improve the roots by one Newton step
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    # weights, scaled against overflow, then symmetrised and normalised
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def bump(u):
@@ -139,7 +178,7 @@ def _build_nodes(M: int, w: float):
     probes = [0.0, 0.77, 1.5, 3.2, 2.0j, 0.9 + 1.1j]
     prev = None
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
-        x, gw = np.polynomial.legendre.leggauss(n)
+        x, gw = gauss_legendre(n)
         xi = x * w
         wb = gw * w * bump(xi / w)
         vals = np.array([np.dot(wb, np.exp(2j * math.pi * p * xi)) for p in probes])

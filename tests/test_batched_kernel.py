@@ -10,9 +10,11 @@ tests here check that a row's bits do not depend on the batch it is in: the
 residue sum cancels heavily at large X, and a row that moved with its batch
 would move the density splits. The Kloosterman tables agree with the
 kernel; the engine memoises Avg(lambda_m) and builds each report's error
-budget from the m it used.
+budget from the m it used, and its batched fill and the convergence scan
+give the bits of one-m fills and separate reports.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,14 +25,18 @@ from scipy.special import jv
 
 from maassdensity import _fastpath as fastpath
 from maassdensity import arithmetic
-from maassdensity._fastpath import j_array, j_rows
+from maassdensity._fastpath import _BLOCK_BYTES, j_array, j_rows
 from maassdensity.arithmetic import kloosterman_sum, kloosterman_table
 from maassdensity.besseltransform import (
     ResidueEvaluator,
     _first_family_terms,
     _residue_value,
 )
-from maassdensity.density import DensityEngine, explicit_formula_average
+from maassdensity.density import (
+    DensityEngine,
+    convergence_scan,
+    explicit_formula_average,
+)
 from maassdensity.rmt import make_test_function
 from maassdensity.weights import default_family
 
@@ -137,6 +143,20 @@ def test_residue_values_density_row():
     assert np.array_equal(_bits(ev.values(xs)), _bits(want))
 
 
+def test_residue_values_chunked_like_its_slices():
+    # enough rows near X_max for several chunks of Miller rows
+    ev = _evaluator()
+    xs = np.random.default_rng(7).uniform(-5.0, 230.0, 5000)
+    xs[:3] = (0.0, 230.0, -0.0)
+    # a chunk holds at least as many rows as the first, widest one
+    first_chunk = _BLOCK_BYTES // (8 * (2 * ev._k_loc(230.0) + 2))
+    assert np.count_nonzero(xs > 0.0) > 2 * first_chunk
+    whole = ev.values(xs)
+    parts = np.concatenate([ev.values(xs[lo : lo + 700]) for lo in range(0, 5000, 700)])
+    assert np.array_equal(_bits(whole), _bits(parts))
+    assert not np.any(whole[xs <= 0.0])
+
+
 def test_residue_values_against_residue_value():
     # _residue_value sums the first family with np.sum and takes each
     # second-family J from its own Miller run; the two agree to a few
@@ -191,3 +211,30 @@ def test_error_budget_belongs_to_its_report():
     # the squares 4, 9, 25 come from an evaluator of another size on the warm
     # engine, which moves their tails at the rounding level only
     assert after_08.error_budget == pytest.approx(fresh.error_budget, rel=1e-12)
+
+
+def test_fill_lambdas_matches_one_m_fills():
+    engine = DensityEngine(11, c_max=60)
+    ms = [2, 3, 4, 9, 25, 97, 101, 289, 307]
+    ev = engine._evaluator(4.0 * math.pi * math.sqrt(max(ms)))
+    for m in ms:
+        engine.averaged_lambda(m)
+    one_m = dict(engine._lambdas)
+    engine._lambdas.clear()
+    engine.fill_lambdas(ms + [1, 3])
+    assert engine._residue is ev  # the same evaluator for both fills
+    assert sorted(engine._lambdas) == ms
+    for m in ms:
+        assert np.array_equal(_bits(engine._lambdas[m]), _bits(one_m[m]))
+
+
+def test_convergence_scan_matches_separate_reports():
+    reports, _ = convergence_scan([11], [0.8, 1.2], make_test_function)
+    engine = DensityEngine(11)
+    for rep in reports:
+        alone = explicit_formula_average(11, make_test_function(rep.eta), engine=engine)
+        scale = (abs(alone.const_term) + abs(alone.conductor_term)
+                 + abs(alone.prime_term) + abs(alone.prime_sq_term))
+        for field in dataclasses.fields(alone):
+            got, want = getattr(rep, field.name), getattr(alone, field.name)
+            assert abs(got - want) <= 1e-15 * scale, field.name

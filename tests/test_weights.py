@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from maassdensity.errors import DomainError, OverflowGuardError, PoleError
 from maassdensity.weights import (
@@ -12,6 +13,7 @@ from maassdensity.weights import (
     default_family,
     g_fourier_transform,
     g_tilde_eval,
+    gauss_legendre,
     make_spectral_weight,
     make_weight_family,
     set_default_weight,
@@ -181,3 +183,33 @@ def test_default_weight_round_trip():
     finally:
         set_default_weight(8, 0.125)
     assert default_family().M == 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 16, 64, 256, 400, 1024, 2048])
+def test_gauss_legendre_bit_identical_to_leggauss(n):
+    x, w = gauss_legendre(n)
+    x0, w0 = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
+    assert np.array_equal(w.view(np.uint64), w0.view(np.uint64))
+    assert not x.flags.writeable and not w.flags.writeable
+    assert gauss_legendre(n)[0] is x  # cached per n
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_gauss_legendre_large_orders(n):
+    # leggauss itself takes 11-80 s here (a dense eigensolve), so the rule
+    # is checked against its defining properties and an independent build
+    x, w = gauss_legendre(n)
+    assert abs(w.sum() - 2.0) <= 4.0 * 2.0 ** -52
+    # exact for x^(2k), k < n; x^(2k) = exp(2k log|x|) in blocks of k. The
+    # bound is the rounding of the weights near +-1, which leggauss shares
+    # (measured: 3.0e-13 at n = 2048, bit-identical to leggauss, and 2-3e-13
+    # for roots_legendre's own weights at 4096 and 8192)
+    log_x = np.log(np.abs(x))
+    worst = 0.0
+    for lo in range(0, n, 256):
+        k = np.arange(lo, min(n, lo + 256))
+        moments = np.exp(np.multiply.outer(2.0 * k, log_x)) @ w
+        worst = max(worst, float(np.max(np.abs(moments - 2.0 / (2 * k + 1)))))
+    assert worst <= 1e-12  # measured: 5.6e-13 and 6.1e-13
+    assert np.max(np.abs(x - roots_legendre(n)[0])) <= 4e-16  # measured: 2.2e-16
