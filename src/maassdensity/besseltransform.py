@@ -314,10 +314,12 @@ class ResidueEvaluator:
     at hundreds of thousands of arguments X = 4 pi sqrt(mn)/c cheaply.
 
     The values depend on X_max in the last bit: the weight vectors come
-    from one matrix-vector product over all k <= k_cap, whose rounding
-    varies with the row count, so two evaluators of different X_max may
-    differ by an ulp in a weight and hence in D_J. Callers that need
-    reproducible bits size one evaluator for all their arguments.
+    from blocked matrix-vector products over all k <= k_cap
+    (weights._transform_rows), and the last block, which holds the
+    remainder rows, rounds its final rows in a way that depends on the row
+    count, so two evaluators of different X_max may differ by an ulp in a
+    weight and hence in D_J. Callers that need reproducible bits size one
+    evaluator for all their arguments.
     """
 
     def __init__(self, family: WeightFamily, T: int, X_max: float):

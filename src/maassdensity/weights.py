@@ -72,6 +72,52 @@ def gauss_legendre(n: int) -> tuple:
     return x, w
 
 
+# Bytes of the one work buffer of _transform_rows: a block of rows of the
+# (points x nodes) matrix that stays in cache.
+_ROW_BLOCK_BYTES = 512 * 1024
+
+
+def _block_rows(k: int) -> int:
+    """Rows per block of _transform_rows over k nodes: the largest multiple
+    of 4 (at least 4) for which the last block, up to 2 * rows - 1 rows,
+    fits in _ROW_BLOCK_BYTES."""
+    return max(4, _ROW_BLOCK_BYTES // (16 * k) // 4 * 4)
+
+
+def _transform_rows(fn, scale: float, x, a: np.ndarray, w: np.ndarray):
+    """fn(scale * outer(x, a)) @ w, one block of rows at a time.
+
+    The one home of the band-limited transforms: s on the real line and on
+    the imaginary axis, and the test functions' phi. Each block is formed
+    in place in a single buffer of at most _ROW_BLOCK_BYTES (outer product,
+    scale, fn, matrix-vector product), never the whole matrix.
+
+    Under one BLAS thread the result is bit for bit the dense expression.
+    Every block's row count is a multiple of 4, since OpenBLAS dgemv_t sums
+    rows four at a time and the leftover rows in another order; the last
+    block takes the remainder, so no block is a 1-row product, which numpy
+    sends down another BLAS path. A 0-d x is the dense expression itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return fn(scale * np.multiply.outer(x, a)) @ w
+    flat = x.reshape(-1)
+    n = flat.size
+    rows = _block_rows(a.size)
+    blocks = max(1, n // rows)
+    buf = np.empty((min(n, 2 * rows - 1), a.size))
+    out = np.empty(n)
+    for b in range(blocks):
+        lo = b * rows
+        hi = n if b == blocks - 1 else lo + rows
+        m = buf[: hi - lo]
+        np.multiply.outer(flat[lo:hi], a, out=m)
+        np.multiply(scale, m, out=m)
+        fn(m, out=m)
+        np.matmul(m, w, out=out[lo:hi])
+    return out.reshape(x.shape)
+
+
 def bump(u):
     """Unit smooth even bump exp(-1/(1-u^2)) on (-1, 1), 0 outside."""
     u = np.asarray(u, dtype=float)
@@ -112,8 +158,7 @@ class WeightFamily:
 
     def s_real_grid(self, x: np.ndarray) -> np.ndarray:
         """Vectorized s on a real grid (cosine form, exactly real)."""
-        x = np.asarray(x, dtype=float)
-        return np.cos(_TWO_PI * np.multiply.outer(x, self._xi)) @ self._wb
+        return _transform_rows(np.cos, _TWO_PI, x, self._xi, self._wb)
 
     def s_imag_axis_scaled(self, y: np.ndarray):
         """s(iy) for y >= 0, returned as (mantissa, log_scale).
@@ -124,8 +169,7 @@ class WeightFamily:
         """
         y = np.asarray(y, dtype=float)
         w = self.bump_halfwidth
-        expo = -_TWO_PI * np.multiply.outer(y, self._xi + w)
-        mant = np.exp(expo) @ self._wb
+        mant = _transform_rows(np.exp, -_TWO_PI, y, self._xi + w, self._wb)
         return mant, _TWO_PI * w * y
 
     def s_derivative(self, x: float, order: int) -> float:
