@@ -41,13 +41,16 @@ __all__ = [
     "extended_threshold",
 ]
 
-THEOREM_THRESHOLD = 1.25  # support bound proven for the baseline weight
 _PRIME_CAP = 10 ** 7
 
 
 def extended_threshold(M: int) -> float:
     """Support bound available with an order-M weight: 2 - 3/(2(M+1))."""
     return 2.0 - 3.0 / (2.0 * (M + 1))
+
+
+# the support bound 2 - 3/(2(M+1)) at M = 1, exactly 1.25
+THEOREM_THRESHOLD = extended_threshold(1)
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def convergence_scan(
     """Density reports over a (T, eta) grid, plus threshold flags.
 
     Returns (reports, flags); flags lists (T, eta, message) for eta values
-    outside the proven support range of the baseline weight.
+    at or beyond THEOREM_THRESHOLD, the support bound of an M = 1 weight.
     """
     T_list = [int(t) for t in T_list]
     if any(t % 2 == 0 for t in T_list):
@@ -261,7 +264,7 @@ def convergence_scan(
                     None,
                     eta,
                     f"eta = {eta} is outside the proven range "
-                    f"(< {THEOREM_THRESHOLD} for the baseline weight; "
+                    f"(< {THEOREM_THRESHOLD} for an M = 1 weight; "
                     f"< {extended_threshold(default_family().M):.4f} requires higher order)",
                 )
             )

@@ -69,8 +69,11 @@ class TestFunction:
 
 @lru_cache(maxsize=32)
 def _cached_test_function(eta: float) -> TestFunction:
-    # probes must cover the largest x at which phi is later evaluated, else a
-    # node count passing a small-x probe aliases badly in the tail integrals
+    # the probes stop at 80, but _expected_x_space evaluates phi out to
+    # _phi_tail_cutoff (up to 145.5); a node count that passes only small-x
+    # probes could alias there. For eta 0.8 to 1.2 the 2048 nodes chosen stay
+    # within 1e-12 of the peak of a 16384-node phi on that whole range
+    # (tests/test_rmt.py)
     probes = (0.0, 0.6, 2.3, 25.0, 80.0)
     prev = None
     for n in (1024, 2048, 4096, 8192):
@@ -126,7 +129,12 @@ def rmt_density_eval(group: str, x: float) -> tuple[float, float]:
 
 
 def _phi_tail_cutoff(phi: TestFunction) -> float:
-    """x beyond which |phi| is below 1e-14 of its peak, found by scanning."""
+    """x beyond which |phi| is below 1e-14 of its peak, found by scanning.
+
+    The scan tests [x, 1.25 x] for x = 8 * 1.25^k while x < 120 and returns
+    the right end of the first quiet interval, so a result can reach
+    8 * 1.25^13 = 145.5; 120 is returned only when no interval is quiet.
+    """
     peak = abs(float(phi.phi(np.array([0.0]))[0]))
     x = 8.0
     while x < 120.0:

@@ -90,6 +90,7 @@ def test_cost_guard_on_large_support(monkeypatch):
 
 def test_thresholds():
     assert THEOREM_THRESHOLD == 1.25
+    assert THEOREM_THRESHOLD == extended_threshold(1)
     assert extended_threshold(8) == pytest.approx(2.0 - 3.0 / 18.0)
     assert extended_threshold(100) > extended_threshold(8)
 

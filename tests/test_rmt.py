@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from maassdensity import rmt
+from maassdensity.besseltransform import _gl_panels
 from maassdensity.errors import DomainError
 from maassdensity.rmt import (
     GROUPS,
+    _phi_tail_cutoff,
+    bump,
     group_from_name,
     make_test_function,
     rmt_density_eval,
@@ -116,3 +120,19 @@ def test_orthogonal_types_split_beyond_support_one():
 def test_symplectic_sits_below_unitary():
     phi = make_test_function(1.5)
     assert rmt_expected_value(phi, "Sp") < rmt_expected_value(phi, "U")
+
+
+@pytest.mark.parametrize("eta", [0.8, 1.0, 1.2])
+def test_phi_holds_to_its_tail_cutoff(eta):
+    # the node count is fixed by probes up to x = 80, but phi is integrated
+    # out to _phi_tail_cutoff (145.5 at eta = 1.2); check it there against
+    # a 16384-node quadrature of the same bump (16-point Gauss-Legendre on
+    # 1024 panels)
+    phi = make_test_function(eta)
+    assert phi._xi.size == 2048
+    L = _phi_tail_cutoff(phi)
+    xi, w = _gl_panels(np.linspace(-eta, eta, 1025))
+    fine = rmt.TestFunction(eta=eta, _xi=xi, _wq=w * bump(xi / eta))
+    grid = np.linspace(0.0, L, 2001)
+    peak = abs(fine.phi(np.array([0.0]))[0])
+    assert np.max(np.abs(phi.phi(grid) - fine.phi(grid))) <= 1e-12 * peak

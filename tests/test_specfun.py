@@ -7,16 +7,22 @@ written out inline, mpmath at high precision), or a closed form.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maassdensity.besseltransform import _gl_panels
 from maassdensity.errors import DomainError, OverflowGuardError, PoleError
+from maassdensity.kuznetsov import _SMOOTH_PANEL, weight_spectral
 from maassdensity.specfun import (
     _log_gamma_stirling,
+    _power_table,
+    _zeta_cutoff,
+    _zeta_plan,
     bessel_j_int,
     bessel_j_int_integral_check,
     dunster_leading_term,
@@ -239,6 +245,77 @@ def test_zeta_abs2_grid_matches_scalar_route():
         )
     assert np.all(np.isinf(grid[~mask]))
     assert np.max(np.abs(grid[mask] - want) / want) < 1e-10
+
+
+_U = 2.0 ** -53
+
+
+def _zeta_rounding_bound(s, n_cut=None):
+    # the exponents s log n, n < N, are rounded: the relative error grows
+    # with |s| log N (the phase t log n, and sigma log n at large Re s)
+    n_cut = n_cut or _zeta_cutoff(abs(s.imag))
+    return _U * (32.0 + 4.0 * abs(s) * math.log(n_cut))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 3.0), st.floats(-5200.0, 5200.0))
+def test_zeta_right_of_one_against_mpmath(sigma, t):
+    # |Im s| up to 5200 covers the T = 81 smooth grids (|Im s| = 2r)
+    s = complex(sigma, t)
+    assume(abs(s - 1.0) > 1e-6)
+    got = zeta_right_of_one(s)
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+    assert abs(got - want) <= _zeta_rounding_bound(s) * abs(want)
+
+
+@pytest.mark.parametrize("size", [1023, 1024, 1025])
+def test_zeta_abs2_grid_across_chunk_boundaries(size):
+    # nodes are evaluated in magnitude-sorted chunks, each with its own
+    # cutoff; check the nodes on both sides of every chunk boundary
+    r = np.random.default_rng(size).uniform(0.0, 400.0, size)
+    r[size // 2] = 0.0
+    grid = zeta_abs2_grid(r)
+    order = np.argsort(r)
+    ranks = {0, 1, size - 1}
+    for edge in range(256, size, 256):
+        ranks.update((edge - 1, edge))
+    for i in order[sorted(ranks)]:
+        if r[i] == 0.0:
+            assert grid[i] == np.inf
+            continue
+        with mpmath.workdps(30):
+            want = float(abs(mpmath.zeta(mpmath.mpc(1.0, 2.0 * r[i]))) ** 2)
+        bound = 2.0 * _zeta_rounding_bound(complex(1.0, 2.0 * r[i]))  # |zeta|^2
+        assert abs(grid[i] - want) <= bound * want
+
+
+def test_power_table_matches_direct_powers():
+    t = np.concatenate([np.linspace(-5200.0, 5200.0, 41), [0.0, 0.5]])
+    s = np.linspace(1.0, 3.0, t.size) + 1j * t
+    n_cut = _zeta_cutoff(5200.0)
+    table = _power_table(s, n_cut, _zeta_plan(n_cut))
+    n = np.arange(1, n_cut, dtype=float)
+    direct = np.exp(-np.multiply.outer(np.log(n), s))
+    rel = np.abs(table[1:] - direct) / np.abs(direct)
+    bound = np.array([_zeta_rounding_bound(si, n_cut) for si in s])
+    assert np.all(rel <= bound[None, :])
+
+
+def test_zeta_abs2_grid_memory_bounded_on_t41_grid():
+    # the T = 41 smooth grid (about 138k nodes, r up to 1295): the dense
+    # exp(-s log n) head sum of 1024-node chunks with cutoff 1.1|t| + 16
+    # peaked at 92 MB of traced memory on it
+    r_cut = weight_spectral(41).r_cut()
+    r, _ = _gl_panels(np.linspace(0.0, r_cut, math.ceil(r_cut / _SMOOTH_PANEL) + 1))
+    assert r.size > 130_000
+    tracemalloc.start()
+    try:
+        zeta_abs2_grid(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_zeta_one_line_lower_bound():
