@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .besseltransform import _band_panels
 from .errors import DomainError, VerificationError
 from .weights import _transform_rows, bump, gauss_legendre
 
@@ -146,30 +147,25 @@ def _phi_tail_cutoff(phi: TestFunction) -> float:
 
 
 def _expected_x_space(phi: TestFunction, group: str) -> float:
+    """2 * integral over (0, L) of phi(x) W(x), plus the point mass at 0.
+
+    phi is a finite cosine sum over nodes |xi| < eta, so its spectrum lies in
+    |frequency| < 2 pi eta; the sine kernel K(2x) has |frequency| <= 2 pi.
+    The integrand's band limit is therefore 2 pi (1 + eta), and _band_panels
+    sizes its panels at width 2/(1 + eta) with a remainder below
+    5e-20 L sup|phi W|.
+    """
     _, delta = rmt_density_eval(group, 0.0)
     L = _phi_tail_cutoff(phi)
-    # composite Gauss-Legendre: panel width resolves the cos(2 pi eta x)
-    # oscillation of phi and the sine kernel alike
-    width = 0.25 / max(1.0, phi.eta)
-    n_panels = int(math.ceil(L / width))
-    gx, gw = gauss_legendre(12)
-    edges = np.linspace(0.0, L, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    ws = (half[:, None] * gw[None, :]).ravel()
+    xs, ws = _band_panels(L, 2.0 * math.pi * (1.0 + phi.eta))
     if group in ("SO_even",):
         smooth = 1.0 + _sine_kernel(2.0 * xs)
     elif group in ("SO_odd", "Sp"):
         smooth = 1.0 - _sine_kernel(2.0 * xs)
     else:
         smooth = np.ones_like(xs)
-    # phi bounds its own memory; the 4096-point chunks fix the summation
-    # order whose result bench/reference.json records
-    acc = 0.0
-    for lo in range(0, xs.size, 4096):
-        sl = slice(lo, lo + 4096)
-        acc += float(np.dot(ws[sl], phi.phi(xs[sl]) * smooth[sl]))
+    # phi bounds its own memory, so the whole grid goes in one call
+    acc = float(np.dot(ws, phi.phi(xs) * smooth))
     return 2.0 * acc + delta * float(phi.phi(np.array([0.0]))[0])
 
 

@@ -8,6 +8,7 @@ import pytest
 from maassdensity import rmt
 from maassdensity.besseltransform import _gl_panels
 from maassdensity.errors import DomainError
+from maassdensity.weights import gauss_legendre
 from maassdensity.rmt import (
     GROUPS,
     _phi_tail_cutoff,
@@ -79,13 +80,47 @@ def test_density_eval_closed_forms():
         rmt_density_eval("so_even_typo", 0.0)
 
 
-@pytest.mark.parametrize("eta", [0.7, 1.5])
+# measured gaps: at most 1.1e-13 for eta >= 0.8, 6.7e-13 at 0.7, 2.2e-12 at
+# 0.6 and 2.0e-9 at 0.3, where phi is still above 1e-14 of its peak at the
+# x-space route's L = 120 truncation
+_ROUTE_GAP = {0.3: 1e-8, 0.6: 1e-11, 0.7: 1e-11}
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.6, 0.7, 0.8, 1.0, 1.2, 1.5, 1.9])
 @pytest.mark.parametrize("group", GROUPS)
 def test_dual_route_predictions(group, eta):
-    # rmt_expected_value internally cross-checks x-space quadrature against
-    # the xi-space closed form to 1e-7 and raises on disagreement
-    val = rmt_expected_value(make_test_function(eta), group)
-    assert math.isfinite(val)
+    # rmt_expected_value cross-checks the x-space quadrature against the
+    # xi-space closed form only to 1e-7; the routes agree far better
+    phi = make_test_function(eta)
+    val = rmt_expected_value(phi, group)
+    gap = abs(val - rmt._expected_xi_space(phi, group))
+    assert gap <= _ROUTE_GAP.get(eta, 5e-13)
+
+
+def _expected_x_space_oversampled(phi, group):
+    # the x-space route on its former grid: 12-point Gauss-Legendre panels
+    # of width 0.25/max(1, eta), about 4 times finer than the band limit
+    # 2 pi (1 + eta) needs
+    _, delta = rmt_density_eval(group, 0.0)
+    L = _phi_tail_cutoff(phi)
+    n_panels = math.ceil(L * max(1.0, phi.eta) / 0.25)
+    gx, gw = gauss_legendre(12)
+    edges = np.linspace(0.0, L, n_panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    xs = (mid[:, None] + half[:, None] * gx).ravel()
+    ws = (half[:, None] * gw).ravel()
+    k = rmt._sine_kernel(2.0 * xs)
+    smooth = {"SO_even": 1.0 + k, "SO_odd": 1.0 - k, "Sp": 1.0 - k}
+    w = smooth.get(group, np.ones_like(xs))
+    return 2.0 * float(np.dot(ws, phi.phi(xs) * w)) + delta * tf_eval(phi, "x_space", 0.0)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.6, 0.8, 1.0, 1.2, 1.5, 1.9])
+def test_x_space_grid_matches_oversampled_grid(eta):
+    phi = make_test_function(eta)
+    for group in GROUPS:
+        got = rmt._expected_x_space(phi, group)
+        assert abs(got - _expected_x_space_oversampled(phi, group)) <= 1e-14
 
 
 def test_unitary_prediction_is_hat_at_zero():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from maassdensity.besseltransform import _gl_panels
 from maassdensity.errors import DomainError, OverflowGuardError, PoleError
-from maassdensity.kuznetsov import _SMOOTH_PANEL, weight_spectral
+from maassdensity.kuznetsov import weight_spectral
 from maassdensity.specfun import (
     _log_gamma_stirling,
     _power_table,
@@ -303,11 +303,12 @@ def test_power_table_matches_direct_powers():
 
 
 def test_zeta_abs2_grid_memory_bounded_on_t41_grid():
-    # the T = 41 smooth grid (about 138k nodes, r up to 1295): the dense
-    # exp(-s log n) head sum of 1024-node chunks with cutoff 1.1|t| + 16
-    # peaked at 92 MB of traced memory on it
+    # the T = 41 h_T range (r up to 1295) on 0.15-wide panels, about 138k
+    # nodes: twice the smooth grid's nodes, to keep the load under which the
+    # dense exp(-s log n) head sum of 1024-node chunks with cutoff
+    # 1.1|t| + 16 peaked at 92 MB of traced memory
     r_cut = weight_spectral(41).r_cut()
-    r, _ = _gl_panels(np.linspace(0.0, r_cut, math.ceil(r_cut / _SMOOTH_PANEL) + 1))
+    r, _ = _gl_panels(np.linspace(0.0, r_cut, math.ceil(r_cut / 0.15) + 1))
     assert r.size > 130_000
     tracemalloc.start()
     try:
