@@ -79,7 +79,6 @@ from .weights import (
     g_tilde_eval,
     make_spectral_weight,
     make_weight_family,
-    set_default_weight,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "SpectralWeight",
     "make_weight_family",
     "make_spectral_weight",
-    "set_default_weight",
     "default_family",
     "g_tilde_eval",
     "g_fourier_transform",

@@ -5,6 +5,9 @@
 the Poisson-summation sums S_J, A_g, B_g, and empirical scans of the bounds
 they satisfy. The residue route's constants are derived by contour shifting
 and then pinned against direct quadrature before any scan may use them.
+
+Every entry point takes the weight family as an argument; None means
+weights.default_family().
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,8 +59,6 @@ __all__ = [
 # _ensure_calibrated before any consumer trusts them.
 _C1 = -1.0j
 _C2_TIMES_SIGN = 2.0j  # multiplies T^2 * sum_k k^2 h(k) J_{2kT}(X)
-
-_calibrated: set[tuple[int, float]] = set()
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,9 @@ def _dj_quad_pass(sw: SpectralWeight, X: float, r_max: float, wf: float) -> floa
     return float(np.dot(wts, integrand))
 
 
-def dj_quadrature(X: float, T: int, tol: float = 1e-10) -> DJResult:
+def dj_quadrature(
+    X: float, T: int, tol: float = 1e-10, family: WeightFamily | None = None
+) -> DJResult:
     """2i * integral over (0, R) of r h_T(r) Im[J_{2ir}(X)/cosh(pi r)] dr.
 
     The r <-> -r pairing makes the two-sided integral purely imaginary, so
@@ -175,7 +179,7 @@ def dj_quadrature(X: float, T: int, tol: float = 1e-10) -> DJResult:
     the truncation tail is budgeted from the h_T decay envelope.
     """
     X, T = _check_xt(X, T)
-    return _dj_quadrature(make_spectral_weight(default_family(), T), X, tol)
+    return _dj_quadrature(make_spectral_weight(family or default_family(), T), X, tol)
 
 
 def _dj_quadrature(sw: SpectralWeight, X: float, tol: float) -> DJResult:
@@ -229,18 +233,17 @@ def _first_family_terms(family: WeightFamily, X: float, T: int):
     return terms, tail
 
 
-def sj_direct(X: float, T: int) -> float:
+def sj_direct(X: float, T: int, family: WeightFamily | None = None) -> float:
     """S_J(X) = T sum_k (-1)^k J_{2k+1}(X) x^2 h(x)/sin(pi x), x=(2k+1)/2T."""
     X = float(X)
     if X == 0.0:
         return 0.0
     X, T = _check_xt(X, T)
-    family = default_family()
-    terms, _tail = _first_family_terms(family, X, T)
+    terms, _tail = _first_family_terms(family or default_family(), X, T)
     return T * float(np.sum(terms))
 
 
-def sj_alpha_expansion(X: float, T: int) -> float:
+def sj_alpha_expansion(X: float, T: int, family: WeightFamily | None = None) -> float:
     """The same sum through the Dirichlet-kernel expansion over |alpha| < T/2."""
     X = float(X)
     if X == 0.0:
@@ -248,7 +251,7 @@ def sj_alpha_expansion(X: float, T: int) -> float:
     X, T = _check_xt(X, T)
     if T > 101:
         raise DomainError("alpha expansion cost guard: T <= 101")
-    family = default_family()
+    family = family or default_family()
     n_max = int(max(48.0, 2.8 * X + 60.0 * X ** (1.0 / 3.0) + 100.0))
     jv = j_array(X, n_max)
     k = np.arange(1, n_max + 1)
@@ -293,11 +296,10 @@ def _residue_value(family: WeightFamily, X: float, T: int):
     return value, abs(_C1) * tail1 + abs(_C2_TIMES_SIGN) * tail2
 
 
+@lru_cache(maxsize=16)
 def _ensure_calibrated(family: WeightFamily):
-    """Pin the derived residue constants against quadrature, once per family."""
-    key = (family.M, family.bump_halfwidth)
-    if key in _calibrated:
-        return
+    """Pin the derived residue constants against quadrature, once per family
+    (a failure raises and so is not cached)."""
     for X, T in ((1.0, 5), (2.0, 11), (0.5, 5), (15.0, 5)):
         quad = _dj_quadrature(make_spectral_weight(family, T), X, 1e-10)
         val, tail = _residue_value(family, X, T)
@@ -308,16 +310,15 @@ def _ensure_calibrated(family: WeightFamily):
                 f"residue constants fail at (X={X}, T={T}): "
                 f"residue {val!r} vs quadrature {quad.value!r}, gap {gap:.3e}"
             )
-    _calibrated.add(key)
 
 
-def dj_residue_sum(X: float, T: int) -> DJResult:
+def dj_residue_sum(X: float, T: int, family: WeightFamily | None = None) -> DJResult:
     """D_J by the residue expansion; constants verified against quadrature."""
     X = float(X)
     if X == 0.0:
         return DJResult(value=0.0j, method="residue", X=0.0, T=int(T), error_estimate=0.0)
     X, T = _check_xt(X, T)
-    family = default_family()
+    family = family or default_family()
     _ensure_calibrated(family)
     value, tail = _residue_value(family, X, T)
     return DJResult(value=value, method="residue", X=X, T=T, error_estimate=tail)
@@ -418,7 +419,7 @@ class ResidueEvaluator:
 # ----------------------------------------------------------------------------
 
 
-def dj_asymptotic(X: float, T: int) -> DJResult:
+def dj_asymptotic(X: float, T: int, family: WeightFamily | None = None) -> DJResult:
     """Leading oscillatory integral N_J of the uniform large-order expansion.
 
     N_J = 2i sqrt(2/pi) * integral of r h_T(r) sin(2r xi(X/2r) - pi/4)
@@ -430,7 +431,7 @@ def dj_asymptotic(X: float, T: int) -> DJResult:
         raise RegimeError("asymptotic route requires X >= T/8")
     r_max = (4.0 * T / math.pi) * math.log(1e10) + 50.0
     nodes, wts = _gl_panels(_osc_panel_edges(r_max, X, 0.6))
-    sw = make_spectral_weight(default_family(), T)
+    sw = make_spectral_weight(family or default_family(), T)
     hv = nodes * sw.h_T_real(nodes)
     amp = (4.0 * nodes * nodes + X * X) ** -0.25
     phase = np.array([2.0 * r * dunster_xi(X / (2.0 * r)) if r > 0 else X for r in nodes])
@@ -452,7 +453,9 @@ def dj_asymptotic(X: float, T: int) -> DJResult:
 # ----------------------------------------------------------------------------
 
 
-def stationary_phase_sums(Y: float, T: int) -> tuple[float, float]:
+def stationary_phase_sums(
+    Y: float, T: int, family: WeightFamily | None = None
+) -> tuple[float, float]:
     """(|A_g(Y)|, |B_g(Y)|) for 0 < Y <= T/(2 pi).
 
     A_g = T sum_{|a|<T/2} e(Y sin(pi a/T)) ttg(pi Y cos(pi a/T)/T); B_g has
@@ -466,7 +469,7 @@ def stationary_phase_sums(Y: float, T: int) -> tuple[float, float]:
         raise DomainError("T must be an odd integer >= 3")
     if not (0.0 < Y <= T / (2.0 * math.pi)):
         raise RegimeError("stationary sums require 0 < Y <= T/(2 pi)")
-    family = default_family()
+    family = family or default_family()
     a_acc = 0.0 + 0.0j
     b_acc = 0.0 + 0.0j
     for alpha in range(-(T - 1) // 2, (T - 1) // 2 + 1):
@@ -504,11 +507,14 @@ def _souped_family() -> WeightFamily:
     return make_weight_family(12, 0.125)
 
 
-def bound_scan(which: str, grid: list | None = None) -> ScanReport:
+def bound_scan(
+    which: str, grid: list | None = None, family: WeightFamily | None = None
+) -> ScanReport:
     """Empirical value/bound ratios for the decay estimates on D_J, A_g, B_g.
 
     Points violating a bound's validity regime are flagged and excluded from
-    the ratio lists rather than failing the scan.
+    the ratio lists rather than failing the scan. The family (the default
+    family when None) weighs every scan but souped_up, which needs M = 12.
     """
     if which not in _DEFAULT_GRIDS:
         raise DomainError(f"unknown scan {which!r}")
@@ -534,22 +540,22 @@ def bound_scan(which: str, grid: list | None = None) -> ScanReport:
             if which == "small_X":
                 if X > T:
                     raise RegimeError("small_X regime is X <= T")
-                v = abs(dj_residue_sum(X, T).value)
+                v = abs(dj_residue_sum(X, T, family).value)
                 b = X / T
             elif which == "large_X":
                 if X < T / 8.0:
                     raise RegimeError("large_X regime is X >= T/8")
-                v = abs(dj_residue_sum(X, T).value)
+                v = abs(dj_residue_sum(X, T, family).value)
                 b = X / math.sqrt(T)
             elif which == "souped_up":
                 M = _souped_family().M
                 v = abs(_residue_value(_souped_family(), X, T)[0])
                 b = X ** M * T ** (1.5 - 2.0 * M) + T ** -1.5
             elif which == "stationary_A":
-                v = stationary_phase_sums(X, T)[0]
+                v = stationary_phase_sums(X, T, family)[0]
                 b = X ** 4 / T ** 7
             else:
-                v = stationary_phase_sums(X, T)[1]
+                v = stationary_phase_sums(X, T, family)[1]
                 b = X ** 5 / T ** 9
         except RegimeError as exc:
             flagged.append(((X, T), str(exc)))

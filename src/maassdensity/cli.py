@@ -25,7 +25,7 @@ from .errors import (
     MaassDensityError,
     VerificationError,
 )
-from .weights import set_default_weight
+from .weights import make_weight_family
 
 _ENV_KEYS = {
     "M": ("MAASS_M", int),
@@ -45,7 +45,8 @@ _DEFAULTS = {
 
 
 def _resolve_config(args) -> dict:
-    """flags > --config JSON > env vars > defaults."""
+    """flags > --config JSON > env vars > defaults; cfg["family"] is the
+    weight family of the resolved M and bump_halfwidth."""
     cfg = dict(_DEFAULTS)
     for key, (env, cast) in _ENV_KEYS.items():
         raw = os.environ.get(env)
@@ -67,7 +68,7 @@ def _resolve_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    set_default_weight(int(cfg["M"]), float(cfg["bump_halfwidth"]))
+    cfg["family"] = make_weight_family(int(cfg["M"]), float(cfg["bump_halfwidth"]))
     return cfg
 
 
@@ -99,17 +100,17 @@ def _load_records(args, cfg):
 
 
 def _cmd_bessel_int(args, cfg) -> int:
-    X, T = float(args.X), int(args.T)
+    X, T, family = float(args.X), int(args.T), cfg["family"]
     results = {}
     if args.method in ("quadrature", "all"):
         results["quadrature"] = besseltransform.dj_quadrature(
-            X, T, tol=max(float(cfg["tol"]) * 1e-2, 1e-12)
+            X, T, tol=max(float(cfg["tol"]) * 1e-2, 1e-12), family=family
         )
     if args.method in ("residue", "all"):
-        results["residue"] = besseltransform.dj_residue_sum(X, T)
+        results["residue"] = besseltransform.dj_residue_sum(X, T, family)
     if args.method in ("asymptotic", "all"):
         if X >= T / 8.0:
-            results["asymptotic"] = besseltransform.dj_asymptotic(X, T)
+            results["asymptotic"] = besseltransform.dj_asymptotic(X, T, family)
         elif args.method == "asymptotic":
             raise DomainError(f"asymptotic route needs X >= T/8 = {T / 8.0}")
         else:
@@ -132,7 +133,7 @@ def _cmd_bessel_int(args, cfg) -> int:
 
 
 def _cmd_bound_scan(args, cfg) -> int:
-    report = besseltransform.bound_scan(args.which)
+    report = besseltransform.bound_scan(args.which, family=cfg["family"])
     csv_text = report.to_csv()
     _write_output(args, csv_text)
     flagged = f", {len(report.flagged)} flagged" if report.flagged else ""
@@ -148,7 +149,7 @@ def _cmd_bound_scan(args, cfg) -> int:
 def _make_weight(args, cfg):
     if args.weight == "gaussian":
         return kuznetsov.weight_gaussian(args.center, args.width)
-    return kuznetsov.weight_spectral(int(args.T))
+    return kuznetsov.weight_spectral(int(args.T), cfg["family"])
 
 
 def _cmd_trace_verify(args, cfg) -> int:
@@ -177,7 +178,7 @@ def _cmd_trace_verify(args, cfg) -> int:
 
 def _cmd_total_mass(args, cfg) -> int:
     T = int(args.T)
-    mass = kuznetsov.total_mass(T, c_max=int(cfg["c_max"]))
+    mass = kuznetsov.total_mass(T, c_max=int(cfg["c_max"]), family=cfg["family"])
     text = f"total_mass({T}) = {mass!r}  mass/T^2 = {mass / T ** 2!r}\n"
     print(text, end="")
     _write_output(args, text)
@@ -186,7 +187,9 @@ def _cmd_total_mass(args, cfg) -> int:
 
 def _cmd_avg_lambda(args, cfg) -> int:
     T, m = int(args.T), int(args.m)
-    avg = kuznetsov.averaged_eigenvalue(m, T, c_max=int(cfg["c_max"]))
+    avg = kuznetsov.averaged_eigenvalue(
+        m, T, c_max=int(cfg["c_max"]), family=cfg["family"]
+    )
     text = f"Avg(lambda_{m}) at T={T}: {avg!r}\n"
     print(text, end="")
     _write_output(args, text)
@@ -196,7 +199,9 @@ def _cmd_avg_lambda(args, cfg) -> int:
 def _cmd_density(args, cfg) -> int:
     T = int(args.T)
     phi = rmt.make_test_function(float(args.eta))
-    rep = density.explicit_formula_average(T, phi, c_max=min(int(cfg["c_max"]), 500))
+    rep = density.explicit_formula_average(
+        T, phi, c_max=min(int(cfg["c_max"]), 500), family=cfg["family"]
+    )
     csv_text = density.reports_to_csv([rep])
     _write_output(args, csv_text)
     print(
@@ -216,6 +221,7 @@ def _cmd_converge(args, cfg) -> int:
         eta_list,
         rmt.make_test_function,
         c_max=min(int(cfg["c_max"]), 500),
+        family=cfg["family"],
     )
     _write_output(args, density.reports_to_csv(reports))
     if args.split_output:

@@ -30,7 +30,7 @@ from .kuznetsov import (
     weight_spectral,
 )
 from .rmt import TestFunction, rmt_expected_value
-from .weights import default_family
+from .weights import WeightFamily, default_family
 
 __all__ = [
     "DensityReport",
@@ -84,25 +84,28 @@ def _check_T(T) -> int:
 
 
 class DensityEngine:
-    """Per-T caches for density runs: total mass, conductor average, and the
-    shared grids behind Avg(lambda_m)."""
+    """Per-(family, T) caches for density runs: total mass, conductor average,
+    and the shared grids behind Avg(lambda_m). The family defaults to
+    weights.default_family()."""
 
-    def __init__(self, T: int, c_max: int = 150, conductor_c_max: int = 60):
+    def __init__(self, T: int, c_max: int = 150, conductor_c_max: int = 60,
+                 family: WeightFamily | None = None):
         self.T = T = _check_T(T)
         self.c_max = int(c_max)
-        self.weight = weight_spectral(T)
+        self.family = family or default_family()
+        self.weight = weight_spectral(T, self.family)
         self.grid = _smooth_grid(self.weight)
         self.mass = geometric_side(1, 1, self.weight, c_max=self.c_max).total()
-        lg = geometric_side(1, 1, weight_log_conductor(T), c_max=conductor_c_max)
+        lg = geometric_side(
+            1, 1, weight_log_conductor(T, self.family), c_max=conductor_c_max
+        )
         self.avg_log_conductor = lg.total() / self.mass
         self._residue: ResidueEvaluator | None = None
         self._lambdas: dict = {}  # m -> (avg, small-c, large-c, tail budget)
 
     def _evaluator(self, x_max: float) -> ResidueEvaluator:
         if self._residue is None or x_max > self._residue.X_max:
-            self._residue = ResidueEvaluator(
-                default_family(), self.T, x_max * 1.05
-            )
+            self._residue = ResidueEvaluator(self.family, self.T, x_max * 1.05)
         return self._residue
 
     def fill_lambdas(self, ms) -> None:
@@ -179,19 +182,20 @@ def _prime_support(T: int, phi: TestFunction) -> tuple:
 
 
 def explicit_formula_average(
-    T: int, phi: TestFunction, c_max: int = 150, engine: DensityEngine | None = None
+    T: int, phi: TestFunction, c_max: int = 150, engine: DensityEngine | None = None,
+    family: WeightFamily | None = None,
 ) -> DensityReport:
     """One-level density of the h_T-weighted family against the test function.
 
     The prime cap is checked before an engine is built; a passed engine's T
-    wins over the T argument.
+    and family win over the T and family arguments.
     """
     T = _check_T(T) if engine is None else engine.T
     eta = phi.eta
     log_r = 2.0 * math.log(T)
     primes, roots = _prime_support(T, phi)
     if engine is None:
-        engine = DensityEngine(T, c_max=c_max)
+        engine = DensityEngine(T, c_max=c_max, family=family)
     engine.fill_lambdas([p for p, _, _ in primes] + [p * p for p, _, _ in roots])
     phi0 = float(phi.phi(np.array([0.0]))[0])
     hat0 = float(phi.phi_hat(np.array([0.0]))[0])
@@ -243,13 +247,17 @@ def explicit_formula_average(
 
 
 def convergence_scan(
-    T_list, eta_list, phi_factory, c_max: int = 150
+    T_list, eta_list, phi_factory, c_max: int = 150,
+    family: WeightFamily | None = None,
 ) -> tuple[list, list]:
     """Density reports over a (T, eta) grid, plus threshold flags.
 
     Returns (reports, flags); flags lists (T, eta, message) for eta values
     at or beyond THEOREM_THRESHOLD, the support bound of an M = 1 weight.
+    The family (the default family when None) weighs every report, and its
+    order names the extended bound in the flags.
     """
+    family = family or default_family()
     T_list = [int(t) for t in T_list]
     if any(t % 2 == 0 for t in T_list):
         raise DomainError("all T must be odd")
@@ -265,7 +273,7 @@ def convergence_scan(
                     eta,
                     f"eta = {eta} is outside the proven range "
                     f"(< {THEOREM_THRESHOLD} for an M = 1 weight; "
-                    f"< {extended_threshold(default_family().M):.4f} requires higher order)",
+                    f"< {extended_threshold(family.M):.4f} requires higher order)",
                 )
             )
     reports = []
@@ -276,7 +284,7 @@ def convergence_scan(
             primes, roots = _prime_support(T, phi)
             ms.update(p for p, _, _ in primes)
             ms.update(p * p for p, _, _ in roots)
-        engine = DensityEngine(T, c_max=c_max)
+        engine = DensityEngine(T, c_max=c_max, family=family)
         engine.fill_lambdas(ms)
         for phi in phis:
             reports.append(explicit_formula_average(T, phi, engine=engine))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     VerificationError,
 )
 from .specfun import _series_grid_prefactor, _series_grid_sum, zeta_abs2_grid
-from .weights import default_family, make_spectral_weight
+from .weights import WeightFamily, default_family, make_spectral_weight
 
 __all__ = [
     "AdmissibleWeight",
@@ -57,13 +58,13 @@ class AdmissibleWeight:
     center: float = 0.0
     width: float = 1.0
     components: tuple = ()  # (coefficient, AdmissibleWeight) pairs for combos
+    family: WeightFamily | None = None  # the h_T and log_h_T kinds only
 
     def eval(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
-        if self.kind == "h_T":
-            return _spectral_weight(self.T).h_T_real(r)
-        if self.kind == "log_h_T":
-            return np.log1p(r * r) * _spectral_weight(self.T).h_T_real(r)
+        if self.kind in ("h_T", "log_h_T"):
+            h = make_spectral_weight(self.family, self.T).h_T_real(r)
+            return h if self.kind == "h_T" else np.log1p(r * r) * h
         if self.kind == "gaussian":
             c, s = self.center, self.width
             return np.exp(-0.5 * ((r - c) / s) ** 2) + np.exp(
@@ -97,18 +98,17 @@ def _check_even(w: AdmissibleWeight):
         raise DomainError("admissible weights must be even")
 
 
-def _spectral_weight(T: int):
-    # the family constructor is cached on its parameters, so rebuilding the
-    # thin spectral wrapper here keeps the pair consistent with the current
-    # process-wide default weight
-    return make_spectral_weight(default_family(), T)
-
-
-def weight_spectral(T: int) -> AdmissibleWeight:
-    _spectral_weight(int(T))  # validates T
-    w = AdmissibleWeight(kind="h_T", description=f"h_T, T={T}", T=int(T))
+def _family_weight(kind: str, description: str, T: int, family) -> AdmissibleWeight:
+    family = family or default_family()
+    make_spectral_weight(family, T)  # validates T
+    w = AdmissibleWeight(kind=kind, description=description, T=int(T), family=family)
     _check_even(w)
     return w
+
+
+def weight_spectral(T: int, family: WeightFamily | None = None) -> AdmissibleWeight:
+    """h_T of the family (the default family when None)."""
+    return _family_weight("h_T", f"h_T, T={T}", T, family)
 
 
 def weight_gaussian(center: float, width: float) -> AdmissibleWeight:
@@ -125,13 +125,9 @@ def weight_gaussian(center: float, width: float) -> AdmissibleWeight:
     return w
 
 
-def weight_log_conductor(T: int) -> AdmissibleWeight:
-    _spectral_weight(int(T))
-    w = AdmissibleWeight(
-        kind="log_h_T", description=f"log(1+r^2) h_T, T={T}", T=int(T)
-    )
-    _check_even(w)
-    return w
+def weight_log_conductor(T: int, family: WeightFamily | None = None) -> AdmissibleWeight:
+    """log(1 + r^2) h_T of the family (the default family when None)."""
+    return _family_weight("log_h_T", f"log(1+r^2) h_T, T={T}", T, family)
 
 
 def weight_combination(parts) -> AdmissibleWeight:
@@ -228,40 +224,22 @@ class _OscGrid:
         return 2j * float(np.dot(self.wrH, im))
 
 
-_smooth_cache: dict = {}
-_osc_cache: dict = {}
-_residue_cache: dict = {}
-
-
-def _family_key() -> tuple:
-    fam = default_family()
-    return (fam.M, fam.bump_halfwidth)
-
-
-def _smooth_grid(weight: AdmissibleWeight) -> _SmoothGrid:
-    key = (weight, _family_key())
-    if key not in _smooth_cache:
-        _smooth_cache[key] = _SmoothGrid(weight)
-    return _smooth_cache[key]
+# Grids and evaluators, cached on the weight (which carries its family) or
+# on (family, T, bucket). The largest key set in use, convergence_scan over
+# T in {11, 21, 41, 81}, needs 8 smooth grids, 4 oscillatory grids and 4
+# evaluators.
+_smooth_grid = lru_cache(maxsize=16)(_SmoothGrid)
+_bucketed_osc_grid = lru_cache(maxsize=16)(_OscGrid)
+_bucketed_evaluator = lru_cache(maxsize=16)(ResidueEvaluator)
 
 
 def _osc_grid(weight: AdmissibleWeight, x_min: float) -> _OscGrid:
     # bucket x_min so nearby c_max choices share a grid
-    bucket = 2.0 ** math.floor(math.log2(max(x_min, 1e-6)))
-    key = (weight, bucket, _family_key())
-    if key not in _osc_cache:
-        _osc_cache[key] = _OscGrid(weight, bucket)
-    return _osc_cache[key]
+    return _bucketed_osc_grid(weight, 2.0 ** math.floor(math.log2(max(x_min, 1e-6))))
 
 
-def _residue_evaluator(T: int, x_max: float) -> ResidueEvaluator:
-    bucket = 2.0 ** math.ceil(math.log2(max(x_max, 1.0)))
-    key = (T, bucket, _family_key())
-    if key not in _residue_cache:
-        _residue_cache[key] = ResidueEvaluator(
-            default_family(), T, bucket
-        )
-    return _residue_cache[key]
+def _residue_evaluator(family: WeightFamily, T: int, x_max: float) -> ResidueEvaluator:
+    return _bucketed_evaluator(family, T, 2.0 ** math.ceil(math.log2(max(x_max, 1.0))))
 
 
 # ----------------------------------------------------------------------------
@@ -335,7 +313,7 @@ def geometric_side(
     s = np.array([kloosterman_sum(m, n, c) for c in range(1, c_max + 1)])
     cs = np.nonzero(s)[0] + 1
     if H.kind == "h_T":
-        vals = _residue_evaluator(H.T, root).values(root / cs)
+        vals = _residue_evaluator(H.family, H.T, root).values(root / cs)
     else:
         og = _osc_grid(H, root / c_max)
         vals = np.array([og.integral(x) for x in root / cs], dtype=complex)
@@ -437,18 +415,21 @@ def verify_trace_identity(
     return report
 
 
-def total_mass(T: int, c_max: int = 1000) -> float:
+def total_mass(T: int, c_max: int = 1000, family: WeightFamily | None = None) -> float:
     """Geometric-side value of the m = n = 1 spectral sum with weight h_T."""
-    return geometric_side(1, 1, weight_spectral(T), c_max=c_max).total()
+    return geometric_side(1, 1, weight_spectral(T, family), c_max=c_max).total()
 
 
-def averaged_eigenvalue(m: int, T: int, c_max: int = 1000) -> float:
+def averaged_eigenvalue(
+    m: int, T: int, c_max: int = 1000, family: WeightFamily | None = None
+) -> float:
     """Avg(lambda_m) under the h_T/||u||^2 weighting, from the geometric side."""
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
     if m == 1:
         return 1.0
-    return geometric_side(m, 1, weight_spectral(T), c_max=c_max).total() / total_mass(
-        T, c_max=c_max
+    weight = weight_spectral(T, family)
+    return geometric_side(m, 1, weight, c_max=c_max).total() / total_mass(
+        T, c_max=c_max, family=family
     )

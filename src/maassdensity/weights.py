@@ -25,7 +25,6 @@ __all__ = [
     "SpectralWeight",
     "make_weight_family",
     "make_spectral_weight",
-    "set_default_weight",
     "default_family",
     "bump",
     "g_tilde_eval",
@@ -256,18 +255,10 @@ def make_weight_family(M: int, bump_halfwidth: float = 0.125) -> WeightFamily:
     return _cached_family(M, w)
 
 
-_DEFAULT_PARAMS = (8, 0.125)
-
-
-def set_default_weight(M: int, bump_halfwidth: float = 0.125) -> None:
-    """Set the process-wide default weight parameters (validated)."""
-    global _DEFAULT_PARAMS
-    make_weight_family(M, bump_halfwidth)  # validates
-    _DEFAULT_PARAMS = (int(M), float(bump_halfwidth))
-
-
 def default_family() -> WeightFamily:
-    return make_weight_family(*_DEFAULT_PARAMS)
+    """The M = 8, bump_halfwidth = 1/8 family, used wherever an entry point's
+    family argument is None."""
+    return make_weight_family(8, 0.125)
 
 
 # ----------------------------------------------------------------------------

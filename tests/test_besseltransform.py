@@ -96,7 +96,7 @@ def test_residue_evaluator_rejects_non_finite_x(bad):
 
 def test_calibration_gate_catches_wrong_constant(monkeypatch):
     monkeypatch.setattr(bt, "_C1", -1.02j)
-    monkeypatch.setattr(bt, "_calibrated", set())
+    bt._ensure_calibrated.cache_clear()
     with pytest.raises(CalibrationError):
         bt.dj_residue_sum(1.0, 5)
 

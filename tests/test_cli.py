@@ -4,14 +4,9 @@ import json
 
 import pytest
 
-from maassdensity.cli import main
-from maassdensity.weights import default_family, set_default_weight
-
-
-@pytest.fixture(autouse=True)
-def restore_default_weight():
-    yield
-    set_default_weight(8, 0.125)
+from maassdensity.besseltransform import dj_residue_sum
+from maassdensity.cli import _resolve_config, build_parser, main
+from maassdensity.weights import make_weight_family
 
 
 def test_unknown_flag_exits_2():
@@ -104,21 +99,28 @@ def test_trace_verify_needs_data():
     assert main(["trace-verify", "--m", "1", "--n", "1"]) == 2
 
 
-def test_config_precedence(tmp_path, monkeypatch, capsys):
-    # env sets M = 12; config file overrides nothing; flag wins over both
-    monkeypatch.setenv("MAASS_M", "12")
-    assert main(["total-mass", "--T", "5", "--c-max", "40"]) == 0
-    assert default_family().M == 12
+def test_config_precedence(tmp_path, monkeypatch):
+    # the config file wins over the environment, a flag over both
+    def family(*argv):
+        args = build_parser().parse_args(["total-mass", "--T", "5", *argv])
+        return _resolve_config(args)["family"]
 
+    monkeypatch.delenv("MAASS_M", raising=False)
+    assert family().M == 8
+    monkeypatch.setenv("MAASS_M", "12")
+    assert family().M == 12
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"M": 16}))
-    assert main(["total-mass", "--T", "5", "--c-max", "40", "--config", str(cfg)]) == 0
-    assert default_family().M == 16
+    assert family("--config", str(cfg)).M == 16
+    assert family("--config", str(cfg), "--M", "8").M == 8
 
-    assert main(
-        ["total-mass", "--T", "5", "--c-max", "40", "--config", str(cfg), "--M", "8"]
-    ) == 0
-    assert default_family().M == 8
+
+def test_bessel_int_passes_the_configured_family(capsys):
+    assert main(["bessel-int", "--X", "2", "--T", "11", "--method", "residue",
+                 "--M", "12"]) == 0
+    want = dj_residue_sum(2.0, 11, family=make_weight_family(12)).value
+    assert f"residue: D_J(2.0, T=11) = {want!r} " in capsys.readouterr().out
+    assert want != dj_residue_sum(2.0, 11).value
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

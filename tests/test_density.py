@@ -20,7 +20,7 @@ from maassdensity.density import (
 )
 from maassdensity.errors import DomainError
 from maassdensity.rmt import make_test_function
-from maassdensity.weights import set_default_weight
+from maassdensity.weights import make_weight_family
 
 
 @pytest.fixture(scope="module")
@@ -105,15 +105,14 @@ def test_convergence_scan_flags_and_validation(engine11):
     assert len(flags) == 1 and flags[0][1] == 1.3
 
 
-def test_convergence_scan_flag_names_the_default_order():
-    set_default_weight(12)
-    try:
-        _, flags = convergence_scan([], [1.3], make_test_function)
-    finally:
-        set_default_weight(8, 0.125)
+def test_convergence_scan_flag_names_the_family_order():
+    family = make_weight_family(12)
+    _, flags = convergence_scan([], [1.3], make_test_function, family=family)
     [(_, eta, message)] = flags
     assert eta == 1.3
     assert f"< {extended_threshold(12):.4f} requires higher order" in message
+    _, [(_, _, default_message)] = convergence_scan([], [1.3], make_test_function)
+    assert f"< {extended_threshold(8):.4f} requires higher order" in default_message
 
 
 def test_csv_schemas(engine11):

@@ -16,7 +16,6 @@ from maassdensity.weights import (
     gauss_legendre,
     make_spectral_weight,
     make_weight_family,
-    set_default_weight,
 )
 
 FAM = make_weight_family(8, 0.125)
@@ -171,18 +170,13 @@ def test_g_fourier_transform_domain():
         g_fourier_transform(FAM, 0.4)
 
 
-def test_default_weight_round_trip():
+def test_default_family_is_m8():
+    # the default is fixed: other families are passed as arguments
     base = default_family()
     assert (base.M, base.bump_halfwidth) == (8, 0.125)
-    try:
-        set_default_weight(12, 0.1)
-        fam = default_family()
-        assert (fam.M, fam.bump_halfwidth) == (12, 0.1)
-        with pytest.raises(DomainError):
-            set_default_weight(10)
-    finally:
-        set_default_weight(8, 0.125)
-    assert default_family().M == 8
+    assert base is make_weight_family(8, 0.125)
+    with pytest.raises(DomainError):
+        make_weight_family(10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 16, 64, 256, 400, 1024, 2048])
