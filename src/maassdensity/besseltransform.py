@@ -328,35 +328,31 @@ class ResidueEvaluator:
     """Reusable residue-route D_J evaluator for one (family, T).
 
     Precomputes the half-integer weight vector W(k) = x^2 h(x)/sin(pi x) and
-    the k^2 h(k) factors once, so a density-style consumer can evaluate D_J
-    at hundreds of thousands of arguments X = 4 pi sqrt(mn)/c cheaply.
-
-    The values depend on X_max in the last bit: the weight vectors come
-    from blocked matrix-vector products over all k <= k_cap
-    (weights._transform_rows), and the last block, which holds the
-    remainder rows, rounds its final rows in a way that depends on the row
-    count, so two evaluators of different X_max may differ by an ulp in a
-    weight and hence in D_J. Callers that need reproducible bits size one
-    evaluator for all their arguments.
+    the k^2 h(k) factors, so a density-style consumer can evaluate D_J at
+    hundreds of thousands of arguments X = 4 pi sqrt(mn)/c cheaply. X_max
+    sizes the vectors at first, and `values` extends them when an X needs
+    more terms. A weight's bits do not depend on the size: h is evaluated
+    on k padded to a whole multiple of 4 rows, so every row keeps its place
+    in the 4-row groups of weights._transform_rows, and then sliced.
     """
 
     def __init__(self, family: WeightFamily, T: int, X_max: float):
         _, self.T = _check_xt(1.0, T)
         self.family = family
-        self.X_max = float(X_max)
         _ensure_calibrated(family)
-        self.k_cap = _k_max(self.X_max)
-        k = np.arange(self.k_cap + 1)
-        x = (2 * k + 1) / (2.0 * self.T)
-        self._signed_w1 = ((-1.0) ** k) * x * x * family.h_real(x) / np.sin(math.pi * x)
-        self.n_cap = 2 * self.k_cap + 1
-        kk = np.arange(1, max(2, self.n_cap // (2 * self.T) + 1), dtype=float)
-        self._w2 = kk * kk * family.h_real(kk)
+        self._size(_k_max(float(X_max)))
 
-    def _k_loc(self, X: float) -> int:
-        if X > self.X_max * (1.0 + 1e-9):
-            raise DomainError(f"X = {X} exceeds this evaluator's X_max")
-        return min(self.k_cap, _k_max(X))
+    def _size(self, k_cap: int) -> None:
+        """Weight vectors for the first-family terms k <= k_cap and the
+        second-family terms n = 2kT <= 2 k_cap + 1."""
+        self.k_cap = k_cap
+        k = np.arange(-(-(k_cap + 1) // 4) * 4)
+        x = (2 * k + 1) / (2.0 * self.T)
+        w1 = ((-1.0) ** k) * x * x * self.family.h_real(x) / np.sin(math.pi * x)
+        self._signed_w1 = w1[: k_cap + 1]
+        k2 = max(1, (2 * k_cap + 1) // (2 * self.T))
+        kk = np.arange(1, -(-k2 // 4) * 4 + 1, dtype=float)
+        self._w2 = (kk * kk * self.family.h_real(kk))[:k2]
 
     def value(self, X: float) -> complex:
         """D_J(X): a one-element `values` call.
@@ -376,8 +372,8 @@ class ResidueEvaluator:
         reordered sum would move D_J far beyond rounding of the result.
         The X run in descending order, in chunks whose Miller rows stay
         under the recurrence's block size, so memory is bounded for any
-        number of X. Raises DomainError for a non-finite X or one above
-        X_max.
+        number of X. The weight vectors grow to the largest X. Raises
+        DomainError for a non-finite X.
         """
         X = np.asarray(X, dtype=float).ravel()
         if not np.all(np.isfinite(X)):
@@ -385,7 +381,9 @@ class ResidueEvaluator:
         out = np.zeros(X.size, dtype=complex)
         live = np.nonzero(X > 0.0)[0]
         live = live[np.argsort(-X[live], kind="stable")]
-        k_loc = np.array([self._k_loc(x) for x in X[live].tolist()], dtype=np.int64)
+        k_loc = np.array([_k_max(x) for x in X[live].tolist()], dtype=np.int64)
+        if k_loc.size and k_loc[0] > self.k_cap:
+            self._size(int(k_loc[0]))
         lo = 0
         while lo < live.size:
             # k_loc falls with X: the chunk's first row is its widest

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import kloosterman_table, primes_up_to
-from .besseltransform import ResidueEvaluator
 from .errors import DomainError
 from .kuznetsov import (
     _kloosterman_c_sum,
+    _residue_evaluator,
     _smooth_grid,
     geometric_side,
     weight_log_conductor,
@@ -100,13 +100,7 @@ class DensityEngine:
             1, 1, weight_log_conductor(T, self.family), c_max=conductor_c_max
         )
         self.avg_log_conductor = lg.total() / self.mass
-        self._residue: ResidueEvaluator | None = None
         self._lambdas: dict = {}  # m -> (avg, small-c, large-c, tail budget)
-
-    def _evaluator(self, x_max: float) -> ResidueEvaluator:
-        if self._residue is None or x_max > self._residue.X_max:
-            self._residue = ResidueEvaluator(self.family, self.T, x_max * 1.05)
-        return self._residue
 
     def fill_lambdas(self, ms) -> None:
         """Memoise Avg(lambda_m) for every m >= 2 of ms, in one batch.
@@ -115,7 +109,7 @@ class DensityEngine:
         (2i/pi) sum_c S(m,1;c)/c D(4 pi sqrt(m)/c) / mass, split at the
         stationary scale c* = 4 pi sqrt(m)/T, with its tail budget. Every
         X = 4 pi sqrt(m)/c with S(m,1;c) != 0 of the new m goes through one
-        evaluator call, sized for the largest m; each m is then summed in c
+        call of the (family, T) residue evaluator; each m is then summed in c
         order on its own.
         """
         ms = sorted({int(m) for m in ms} - self._lambdas.keys() - {1})
@@ -129,7 +123,9 @@ class DensityEngine:
         roots = 4.0 * math.pi * np.sqrt(mm)
         nonzero = s != 0.0
         c = np.arange(1, self.c_max + 1)
-        vals = self._evaluator(roots[-1]).values((roots[:, None] / c)[nonzero])
+        vals = _residue_evaluator(self.family, self.T).values(
+            (roots[:, None] / c)[nonzero]
+        )
         ends = np.cumsum(nonzero.sum(axis=1)).tolist()
         to_real = lambda z: ((2j / math.pi) * z).real
         for m, root, s_m, nz, lo, hi in zip(
@@ -279,13 +275,9 @@ def convergence_scan(
     reports = []
     for T in T_list:
         phis = [phi_factory(eta) for eta in eta_list]
-        ms = set()
         for phi in phis:
-            primes, roots = _prime_support(T, phi)
-            ms.update(p for p, _, _ in primes)
-            ms.update(p * p for p, _, _ in roots)
+            _prime_support(T, phi)  # the prime cap, before the engine
         engine = DensityEngine(T, c_max=c_max, family=family)
-        engine.fill_lambdas(ms)
         for phi in phis:
             reports.append(explicit_formula_average(T, phi, engine=engine))
     return reports, flags

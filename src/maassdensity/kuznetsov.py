@@ -30,6 +30,7 @@ from .errors import (
     MissingCoefficientError,
     VerificationError,
 )
+from .maassdata import _KIM_SARNAK, _untempered_prime
 from .specfun import _series_grid_prefactor, _series_grid_sum, zeta_abs2_grid
 from .weights import WeightFamily, default_family, make_spectral_weight
 
@@ -46,8 +47,6 @@ __all__ = [
     "total_mass",
     "averaged_eigenvalue",
 ]
-
-_KIM_SARNAK = 7.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -224,13 +223,13 @@ class _OscGrid:
         return 2j * float(np.dot(self.wrH, im))
 
 
-# Grids and evaluators, cached on the weight (which carries its family) or
-# on (family, T, bucket). The largest key set in use, convergence_scan over
-# T in {11, 21, 41, 81}, needs 8 smooth grids, 4 oscillatory grids and 4
-# evaluators.
+# Grids cached on the weight (which carries its family) and, for the
+# oscillatory grid, an x bucket; one residue evaluator per (family, T),
+# which grows with the largest X it is asked for. The largest key set in
+# use, convergence_scan over T in {11, 21, 41, 81}, needs 8 smooth grids,
+# 4 oscillatory grids and 4 evaluators.
 _smooth_grid = lru_cache(maxsize=16)(_SmoothGrid)
 _bucketed_osc_grid = lru_cache(maxsize=16)(_OscGrid)
-_bucketed_evaluator = lru_cache(maxsize=16)(ResidueEvaluator)
 
 
 def _osc_grid(weight: AdmissibleWeight, x_min: float) -> _OscGrid:
@@ -238,8 +237,9 @@ def _osc_grid(weight: AdmissibleWeight, x_min: float) -> _OscGrid:
     return _bucketed_osc_grid(weight, 2.0 ** math.floor(math.log2(max(x_min, 1e-6))))
 
 
-def _residue_evaluator(family: WeightFamily, T: int, x_max: float) -> ResidueEvaluator:
-    return _bucketed_evaluator(family, T, 2.0 ** math.ceil(math.log2(max(x_max, 1.0))))
+@lru_cache(maxsize=16)
+def _residue_evaluator(family: WeightFamily, T: int) -> ResidueEvaluator:
+    return ResidueEvaluator(family, T, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def geometric_side(
     s = np.array([kloosterman_sum(m, n, c) for c in range(1, c_max + 1)])
     cs = np.nonzero(s)[0] + 1
     if H.kind == "h_T":
-        vals = _residue_evaluator(H.family, H.T, root).values(root / cs)
+        vals = _residue_evaluator(H.family, H.T).values(root / cs)
     else:
         og = _osc_grid(H, root / c_max)
         vals = np.array([og.integral(x) for x in root / cs], dtype=complex)
@@ -354,12 +354,11 @@ def spectral_side(m: int, n: int, H: AdmissibleWeight, data) -> tuple:
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise DomainError("spectral data must be sorted by t")
     for rec in data:
-        for p in (2, 3, 5, 7):
-            lam = rec.lambdas.get(p)
-            if lam is not None and abs(lam) > 2.0 * p ** _KIM_SARNAK + 1e-6:
-                raise DomainError(
-                    f"lambda_{p} = {lam} violates the tempered-range bound"
-                )
+        p = _untempered_prime(rec, (2, 3, 5, 7))
+        if p is not None:
+            raise DomainError(
+                f"lambda_{p} = {rec.lambdas[p]} violates the tempered-range bound"
+            )
     acc = 0.0
     for rec in data:
         hv = float(H.eval(np.array([rec.t]))[0])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import maassdensity.besseltransform as bt
@@ -78,11 +79,28 @@ def test_bridge_first_residue_family_equals_twice_sj():
 
 def test_residue_evaluator_matches_single_shot():
     ev = bt.ResidueEvaluator(default_family(), 11, 20.0)
-    for X in (0.3, 4.0, 19.0):
+    for X in (0.3, 4.0, 19.0, 25.0):
         one = bt.dj_residue_sum(X, 11)
         assert abs(ev.value(X) - one.value) < 1e-12 * (1.0 + abs(one.value))
-    with pytest.raises(DomainError):
-        ev.value(25.0)
+    # past X_max the evaluator grows, and gives a fresh evaluator's bits
+    fresh = bt.ResidueEvaluator(default_family(), 11, 25.0)
+    assert ev.value(25.0) == fresh.value(25.0)
+
+
+@pytest.mark.parametrize("M", [8, 12])
+def test_residue_weights_do_not_depend_on_evaluator_size(M):
+    # every weight is computed on rows padded to a multiple of 4, so it keeps
+    # its bits whatever the evaluator's size, grown or built at that size
+    family = make_weight_family(M, 0.125)
+    evs = [bt.ResidueEvaluator(family, 11, x) for x in (10.0, 100.0, 250.0, 1000.0)]
+    grown = bt.ResidueEvaluator(family, 11, 10.0)
+    for X in (50.0, 250.0, 1000.0):
+        grown.values([X])
+    assert grown.k_cap == evs[-1].k_cap
+    for ev in evs + [grown]:
+        for name in ("_signed_w1", "_w2"):
+            mine, ref = getattr(ev, name), getattr(evs[-1], name)
+            assert np.array_equal(mine.view(np.uint64), ref[: mine.size].view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -88,6 +88,17 @@ def test_cost_guard_on_large_support(monkeypatch):
         explicit_formula_average(5, phi, engine=SimpleNamespace(T=81))
 
 
+def test_convergence_scan_cost_guard_before_any_engine(monkeypatch):
+    # every eta's prime cap is checked before the T's engine is built:
+    # eta = 1.9 at T = 81 means primes up to 81^3.8 ~ 1.8e7
+    def no_engine(*args, **kwargs):
+        raise AssertionError("DensityEngine built before the cost guard")
+
+    monkeypatch.setattr(DensityEngine, "__init__", no_engine)
+    with pytest.raises(DomainError):
+        convergence_scan([81], [0.8, 1.9], make_test_function)
+
+
 def test_thresholds():
     assert THEOREM_THRESHOLD == 1.25
     assert THEOREM_THRESHOLD == extended_threshold(1)

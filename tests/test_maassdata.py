@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from maassdensity.errors import DataFormatError
+from maassdensity.errors import DataFormatError, DomainError
+from maassdensity.kuznetsov import spectral_side, weight_gaussian
 from maassdensity.maassdata import (
     MaassFormRecord,
     parse_records,
@@ -111,6 +112,25 @@ t,parity,norm_sq,lambda_2,lambda_3,lambda_6
     checks = report["records"][0]["checks"]
     assert checks["multiplicative_2_3_6"] is False
     assert math.isfinite(report["count_fit_rms_residual"])
+
+
+def test_kim_sarnak_bound_is_shared():
+    # one bound, |lambda_p| <= 2 p^(7/64) + 1e-6, and each caller its own
+    # primes: validate_records reports p <= 13, spectral_side raises p <= 7
+    def rec(p, lam):
+        return MaassFormRecord(t=10.0, parity="even", norm_sq=1.0, lambdas={p: lam})
+
+    def tempered(p, lam):
+        return validate_records([rec(p, lam)])["records"][0]["checks"]["tempered_range"]
+
+    H = weight_gaussian(10.0, 2.0)
+    for p in (7, 11):
+        edge = 2.0 * p ** (7.0 / 64.0)
+        assert tempered(p, -edge)
+        assert not tempered(p, edge + 2e-6)
+    spectral_side(1, 1, H, [rec(11, 3.0)])
+    with pytest.raises(DomainError):
+        spectral_side(1, 1, H, [rec(7, -3.0)])
 
 
 def test_validation_needs_records():
