@@ -14,7 +14,7 @@ from .errors import DomainError, VerificationError
 __all__ = [
     "primes_up_to",
     "kloosterman_sum",
-    "kloosterman_table",
+    "kloosterman_sums",
     "divisor_sigma_complex",
     "satake_from_lambda",
     "hecke_prime_power",
@@ -101,19 +101,19 @@ def _kloosterman_rows(a: np.ndarray, n: int, c: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1024)
-def kloosterman_table(c: int) -> np.ndarray:
-    """[S(a, 1; c) for a = 0, ..., c - 1], so S(m, 1; c) = table[m % c].
+def kloosterman_sums(ms, n: int, c_max: int) -> np.ndarray:
+    """[S(m_i, n; c)] for c = 1, ..., c_max: row i, column c - 1.
 
-    The entries come from the kernel behind kloosterman_sum, so each equals
-    kloosterman_sum(a, 1, c) bit for bit. The cached array is read-only.
+    Each modulus c makes one kernel call, on the distinct residues of the
+    m_i mod c, so it costs at most c rows; each entry equals
+    kloosterman_sum(m_i, n, c) bit for bit.
     """
-    c = _check_modulus(c)
-    if c == 1:
-        out = np.ones(1)  # S(0, 1; 1) = 1
-    else:
-        out = _kloosterman_rows(np.arange(c), 1, c)
-    out.setflags(write=False)
+    ms = np.asarray(ms, dtype=np.int64).ravel()
+    n, c_max = int(n), _check_modulus(c_max)
+    out = np.ones((ms.size, c_max))  # S(m, n; 1) = 1
+    for c in range(2, c_max + 1):
+        res, where = np.unique(ms % c, return_inverse=True)
+        out[:, c - 1] = _kloosterman_rows(res, n % c, c)[where]
     return out
 
 

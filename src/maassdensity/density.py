@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import kloosterman_table, primes_up_to
+from .arithmetic import primes_up_to
 from .errors import DomainError
 from .kuznetsov import (
-    _kloosterman_c_sum,
-    _residue_evaluator,
-    _smooth_grid,
+    _geometric_terms,
     geometric_side,
     weight_log_conductor,
     weight_spectral,
@@ -85,7 +83,7 @@ def _check_T(T) -> int:
 
 class DensityEngine:
     """Per-(family, T) caches for density runs: total mass, conductor average,
-    and the shared grids behind Avg(lambda_m). The family defaults to
+    and the memoised Avg(lambda_m). The family defaults to
     weights.default_family()."""
 
     def __init__(self, T: int, c_max: int = 150, conductor_c_max: int = 60,
@@ -94,7 +92,6 @@ class DensityEngine:
         self.c_max = int(c_max)
         self.family = family or default_family()
         self.weight = weight_spectral(T, self.family)
-        self.grid = _smooth_grid(self.weight)
         self.mass = geometric_side(1, 1, self.weight, c_max=self.c_max).total()
         lg = geometric_side(
             1, 1, weight_log_conductor(T, self.family), c_max=conductor_c_max
@@ -107,37 +104,21 @@ class DensityEngine:
 
         Avg(lambda_m) is the Eisenstein part plus the Kloosterman part
         (2i/pi) sum_c S(m,1;c)/c D(4 pi sqrt(m)/c) / mass, split at the
-        stationary scale c* = 4 pi sqrt(m)/T, with its tail budget. Every
-        X = 4 pi sqrt(m)/c with S(m,1;c) != 0 of the new m goes through one
-        call of the (family, T) residue evaluator; each m is then summed in c
-        order on its own.
+        stationary scale c* = 4 pi sqrt(m)/T, with its tail budget: one
+        kuznetsov._geometric_terms call over the new m, divided by the mass.
+        Raises DomainError for an m < 1.
         """
         ms = sorted({int(m) for m in ms} - self._lambdas.keys() - {1})
         if not ms:
             return
-        mm = np.array(ms, dtype=np.int64)
-        # S(m, 1; c): row m, column c - 1
-        s = np.array(
-            [kloosterman_table(c)[mm % c] for c in range(1, self.c_max + 1)]
-        ).T
-        roots = 4.0 * math.pi * np.sqrt(mm)
-        nonzero = s != 0.0
-        c = np.arange(1, self.c_max + 1)
-        vals = _residue_evaluator(self.family, self.T).values(
-            (roots[:, None] / c)[nonzero]
+        terms = _geometric_terms(
+            self.weight, ms, 1, self.c_max, lambda root: root / self.T
         )
-        ends = np.cumsum(nonzero.sum(axis=1)).tolist()
         to_real = lambda z: ((2j / math.pi) * z).real
-        for m, root, s_m, nz, lo, hi in zip(
-            ms, roots.tolist(), s, nonzero, [0] + ends, ends
-        ):
-            small_c, large_c, tail = _kloosterman_c_sum(
-                c[nz], s_m[nz], vals[lo:hi], root, self.c_max, root / self.T
-            )
+        for m, (eis, small_c, large_c, tail) in zip(ms, terms):
             small_c, large_c = to_real(small_c), to_real(large_c)
-            eis = self.grid.eisenstein_contribution(m, 1) / self.mass
             self._lambdas[m] = (
-                eis + (small_c + large_c) / self.mass,
+                eis / self.mass + (small_c + large_c) / self.mass,
                 small_c / self.mass,
                 large_c / self.mass,
                 tail / self.mass,
@@ -183,10 +164,15 @@ def explicit_formula_average(
 ) -> DensityReport:
     """One-level density of the h_T-weighted family against the test function.
 
-    The prime cap is checked before an engine is built; a passed engine's T
-    and family win over the T and family arguments.
+    The prime cap is checked before an engine is built. A passed engine
+    must match T, and family unless it is None (DomainError otherwise); its
+    c_max wins over the c_max argument.
     """
-    T = _check_T(T) if engine is None else engine.T
+    T = _check_T(T)
+    if engine is not None and (
+        T != engine.T or (family is not None and family != engine.family)
+    ):
+        raise DomainError("T and family must match the engine's")
     eta = phi.eta
     log_r = 2.0 * math.log(T)
     primes, roots = _prime_support(T, phi)

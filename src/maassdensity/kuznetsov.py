@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import kloosterman_sum
+from .arithmetic import kloosterman_sums
 from .besseltransform import (
     ResidueEvaluator,
     _band_panels,
@@ -247,27 +247,49 @@ def _residue_evaluator(family: WeightFamily, T: int) -> ResidueEvaluator:
 # ----------------------------------------------------------------------------
 
 
-def _kloosterman_c_sum(cs, s, vals, root, c_max, c_star, gcd=1) -> tuple:
-    """(sum over c <= c_star, sum over c > c_star, tail budget) of the terms
-    S(m,n;c)/c * integral(root/c), root = 4 pi sqrt(mn).
+def _geometric_terms(H: AdmissibleWeight, ms, n: int, c_max: int, c_star) -> list:
+    """[(Eisenstein term, c <= c* sum, c > c* sum, tail budget)] for each m of
+    ms, with c* = c_star(4 pi sqrt(mn)).
 
-    cs holds the moduli c <= c_max with S != 0 in ascending order, s their
-    Kloosterman sums and vals the integral values; the sums run in c order.
-    Tail: |S| <= tau(c) gcd^{1/2} c^{1/2}; |integral(x)| ~ slope * x for
-    small x, slope taken from the last computed value.
+    The sums run in c order over the terms S(m,n;c)/c * integral(X),
+    X = 4 pi sqrt(mn)/c, of the c <= c_max with S != 0; the X of every m go
+    through one residue-evaluator call (h_T) or the oscillatory grid (other
+    weights). Tail: |S| <= tau(c) gcd(m,n)^{1/2} c^{1/2}; |integral(x)| ~
+    slope * x for small x, slope taken from the last computed value.
     """
-    small = large = 0.0j
-    for c, s_c, val in zip(cs.tolist(), s.tolist(), vals.tolist()):
-        if c <= c_star:
-            small += (s_c / c) * val
-        else:
-            large += (s_c / c) * val
-    slope = (abs(complex(vals[-1])) if vals.size else 0.0) / (root / c_max)
-    tail = (
-        slope * root * 2.0 * (math.log(c_max + 1.0) + 2.0) * math.sqrt(gcd)
-        / math.sqrt(c_max) * (2.0 / math.pi)
-    )
-    return small, large, tail
+    ms, n, c_max = [int(m) for m in ms], int(n), int(c_max)
+    if min(ms) < 1 or n < 1:
+        raise DomainError("m, n must be >= 1")
+    if c_max < 1:
+        raise DomainError("c_max must be >= 1")
+    s = kloosterman_sums(ms, n, c_max)
+    roots = [4.0 * math.pi * math.sqrt(m * n) for m in ms]
+    cs = [np.nonzero(s_m)[0] + 1 for s_m in s]
+    xs = np.concatenate([root / c for root, c in zip(roots, cs)])
+    if H.kind == "h_T":
+        vals = _residue_evaluator(H.family, H.T).values(xs)
+    else:
+        og = _osc_grid(H, min(roots) / c_max)
+        vals = np.array([og.integral(x) for x in xs], dtype=complex)
+    ends = np.cumsum([c.size for c in cs]).tolist()
+    grid = _smooth_grid(H)
+    out = []
+    for m, root, s_m, c, lo, hi in zip(ms, roots, s, cs, [0] + ends, ends):
+        split = c_star(root)
+        small = large = 0.0j
+        terms = zip(c.tolist(), s_m[c - 1].tolist(), vals[lo:hi].tolist())
+        for c_i, s_c, val in terms:
+            if c_i <= split:
+                small += (s_c / c_i) * val
+            else:
+                large += (s_c / c_i) * val
+        slope = abs(complex(vals[hi - 1])) / (root / c_max)
+        tail = (
+            slope * root * 2.0 * (math.log(c_max + 1.0) + 2.0)
+            * math.sqrt(math.gcd(m, n)) / math.sqrt(c_max) * (2.0 / math.pi)
+        )
+        out.append((grid.eisenstein_contribution(m, n), small, large, tail))
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,27 +321,12 @@ def geometric_side(
     the divisor bound on S(m,n;c) against the observed linear small-x decay
     of the Bessel integral.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise DomainError("m, n must be >= 1")
-    c_max = int(c_max)
-    if c_max < 1:
-        raise DomainError("c_max must be >= 1")
+    m, n, c_max = int(m), int(n), int(c_max)
+    [(eis, small, large, tail)] = _geometric_terms(
+        H, [m], n, c_max, lambda _: c_max
+    )
     grid = _smooth_grid(H)
     delta = grid.delta_integral() if m == n else 0.0
-    eis = grid.eisenstein_contribution(m, n)
-
-    root = 4.0 * math.pi * math.sqrt(m * n)
-    s = np.array([kloosterman_sum(m, n, c) for c in range(1, c_max + 1)])
-    cs = np.nonzero(s)[0] + 1
-    if H.kind == "h_T":
-        vals = _residue_evaluator(H.family, H.T).values(root / cs)
-    else:
-        og = _osc_grid(H, root / c_max)
-        vals = np.array([og.integral(x) for x in root / cs], dtype=complex)
-    small, large, tail = _kloosterman_c_sum(
-        cs, s[cs - 1], vals, root, c_max, c_max, math.gcd(m, n)
-    )
     kloo = small + large
     trunc = abs(grid.H[-1]) * grid.r_cut ** 2 * 10.0
     return GeometricBreakdown(

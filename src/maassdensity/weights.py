@@ -322,10 +322,6 @@ class SpectralWeight:
         hx = float(self.family.h_real(np.array([x]))[0])
         return x * hx / math.sin(math.pi * x)
 
-    def decay_scale(self) -> float:
-        """e-folding scale of the h_T decay envelope exp(-pi r / (4T))."""
-        return 4.0 * self.T / math.pi
-
 
 def make_spectral_weight(family: WeightFamily, T: int) -> SpectralWeight:
     T = int(T)

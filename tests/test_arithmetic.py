@@ -12,7 +12,7 @@ from maassdensity.arithmetic import (
     hecke_prime_power,
     kloosterman_sum,
     kloosterman_sum_check,
-    kloosterman_table,
+    kloosterman_sums,
     primes_up_to,
     satake_from_lambda,
 )
@@ -94,7 +94,8 @@ def test_kloosterman_sum_against_check(m, n, c):
 
 def test_kloosterman_modulus_cap():
     # above 2^31 a product of two residues can overflow int64
-    for fn in (lambda c: kloosterman_sum(1, 1, c), kloosterman_table,
+    for fn in (lambda c: kloosterman_sum(1, 1, c),
+               lambda c: kloosterman_sums([1, 2], 1, c),
                arithmetic._inv_table_cached):
         with pytest.raises(DomainError):
             fn(2 ** 31)

@@ -8,8 +8,8 @@ series in another order. The scalar entry points `j_array` and
 call costs milliseconds; pass many points to the batch), so the bit-for-bit
 tests here check that a row's bits do not depend on the batch it is in: the
 residue sum cancels heavily at large X, and a row that moved with its batch
-would move the density splits. The Kloosterman tables agree with the
-kernel; the engine memoises Avg(lambda_m) and builds each report's error
+would move the density splits. The batched Kloosterman sums agree with
+the scalar ones bit for bit; the engine memoises Avg(lambda_m) and builds each report's error
 budget from the m it used, and its batched fill and the convergence scan
 give the bits of one-m fills and separate reports.
 """
@@ -25,7 +25,7 @@ from scipy.special import jv
 from maassdensity import _fastpath as fastpath
 from maassdensity import arithmetic, kuznetsov
 from maassdensity._fastpath import _BLOCK_BYTES, j_array, j_rows
-from maassdensity.arithmetic import kloosterman_sum, kloosterman_table
+from maassdensity.arithmetic import kloosterman_sum, kloosterman_sums
 from maassdensity.besseltransform import (
     ResidueEvaluator,
     _first_family_terms,
@@ -172,13 +172,20 @@ def test_residue_values_against_residue_value():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=150))
-def test_kloosterman_table_matches_kernel(c):
-    table = kloosterman_table(c)
-    assert table.shape == (c,)
-    assert not table.flags.writeable
-    for a in range(c):
-        assert table[a] == kloosterman_sum(a, 1, c)  # one kernel
+@given(
+    st.lists(st.integers(min_value=-400, max_value=400), min_size=1, max_size=12),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=1, max_value=150),
+)
+def test_kloosterman_sums_match_scalar(ms, n, c_max):
+    # ms repeat residues mod c and pass c: each modulus evaluates the
+    # distinct residues once, and every entry keeps the scalar's bits
+    ms = ms + [m + c_max for m in ms[:3]]
+    s = kloosterman_sums(ms, n, c_max)
+    assert s.shape == (len(ms), c_max)
+    for m, row in zip(ms, s):
+        want = [kloosterman_sum(m, n, c) for c in range(1, c_max + 1)]
+        assert np.array_equal(_bits(row), _bits(want))
 
 
 def test_inverse_table_cache_covers_default_c_max():

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from maassdensity import kuznetsov
 from maassdensity.density import (
     THEOREM_THRESHOLD,
     DensityEngine,
@@ -20,7 +21,7 @@ from maassdensity.density import (
 )
 from maassdensity.errors import DomainError
 from maassdensity.rmt import make_test_function
-from maassdensity.weights import make_weight_family
+from maassdensity.weights import default_family, make_weight_family
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +44,30 @@ def test_engine_mass_and_conductor_scales(engine11):
 
 def test_averaged_lambda_split_consistency(engine11):
     avg, small_c, large_c = engine11.averaged_lambda(2)
-    eis = engine11.grid.eisenstein_contribution(2, 1) / engine11.mass
+    grid = kuznetsov._smooth_grid(engine11.weight)
+    eis = grid.eisenstein_contribution(2, 1) / engine11.mass
     assert avg == pytest.approx(eis + small_c + large_c, abs=1e-14)
     assert engine11.averaged_lambda(1) == (1.0, 0.0, 0.0)
+
+
+def test_averaged_lambda_matches_averaged_eigenvalue(engine11):
+    # one kernel behind both: they differ only in how the mass-scaled
+    # Eisenstein and Kloosterman parts are rounded and added
+    for m in (2, 3, 4, 9, 97, 121):
+        avg, small_c, large_c = engine11.averaged_lambda(m)
+        want = kuznetsov.averaged_eigenvalue(m, 11, c_max=engine11.c_max)
+        scale = abs(avg) + abs(small_c) + abs(large_c)
+        assert abs(avg - want) <= 8.0 * 2.0 ** -52 * scale
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_engine_rejects_m_below_one(m):
+    engine = DensityEngine(5, c_max=20, conductor_c_max=20)
+    with pytest.raises(DomainError):
+        engine.averaged_lambda(m)
+    with pytest.raises(DomainError):
+        engine.fill_lambdas([2, m])
+    assert engine._lambdas == {}
 
 
 def test_report_assembly_identity(engine11):
@@ -83,9 +105,18 @@ def test_cost_guard_on_large_support(monkeypatch):
     phi = make_test_function(4.0)
     with pytest.raises(DomainError):
         explicit_formula_average(81, phi)
-    # with an engine passed in, its T decides
     with pytest.raises(DomainError):
-        explicit_formula_average(5, phi, engine=SimpleNamespace(T=81))
+        explicit_formula_average(81, phi, engine=SimpleNamespace(T=81))
+
+
+def test_engine_must_match_t_and_family():
+    # a passed engine is not silently preferred over the arguments
+    phi = make_test_function(0.5)
+    engine = SimpleNamespace(T=11, family=default_family())
+    with pytest.raises(DomainError):
+        explicit_formula_average(7, phi, engine=engine)
+    with pytest.raises(DomainError):
+        explicit_formula_average(11, phi, engine=engine, family=make_weight_family(12))
 
 
 def test_convergence_scan_cost_guard_before_any_engine(monkeypatch):
