@@ -106,14 +106,17 @@ def kloosterman_sums(ms, n: int, c_max: int) -> np.ndarray:
 
     Each modulus c makes one kernel call, on the distinct residues of the
     m_i mod c, so it costs at most c rows; each entry equals
-    kloosterman_sum(m_i, n, c) bit for bit.
+    kloosterman_sum(m_i, n, c) bit for bit. A single m skips the dedupe.
     """
     ms = np.asarray(ms, dtype=np.int64).ravel()
     n, c_max = int(n), _check_modulus(c_max)
     out = np.ones((ms.size, c_max))  # S(m, n; 1) = 1
     for c in range(2, c_max + 1):
-        res, where = np.unique(ms % c, return_inverse=True)
-        out[:, c - 1] = _kloosterman_rows(res, n % c, c)[where]
+        if ms.size == 1:
+            out[:, c - 1] = _kloosterman_rows(ms % c, n % c, c)
+        else:
+            res, where = np.unique(ms % c, return_inverse=True)
+            out[:, c - 1] = _kloosterman_rows(res, n % c, c)[where]
     return out
 
 

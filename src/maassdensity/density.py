@@ -159,25 +159,27 @@ def _prime_support(T: int, phi: TestFunction) -> tuple:
 
 
 def explicit_formula_average(
-    T: int, phi: TestFunction, c_max: int = 150, engine: DensityEngine | None = None,
-    family: WeightFamily | None = None,
+    T: int, phi: TestFunction, c_max: int | None = None,
+    engine: DensityEngine | None = None, family: WeightFamily | None = None,
 ) -> DensityReport:
     """One-level density of the h_T-weighted family against the test function.
 
-    The prime cap is checked before an engine is built. A passed engine
-    must match T, and family unless it is None (DomainError otherwise); its
-    c_max wins over the c_max argument.
+    The prime cap is checked before an engine is built; without an engine,
+    one is built with c_max (150 when None). A passed engine must match T,
+    and c_max and family unless they are None (DomainError otherwise).
     """
     T = _check_T(T)
     if engine is not None and (
-        T != engine.T or (family is not None and family != engine.family)
+        T != engine.T
+        or (c_max is not None and int(c_max) != engine.c_max)
+        or (family is not None and family != engine.family)
     ):
-        raise DomainError("T and family must match the engine's")
+        raise DomainError("T, c_max and family must match the engine's")
     eta = phi.eta
     log_r = 2.0 * math.log(T)
     primes, roots = _prime_support(T, phi)
     if engine is None:
-        engine = DensityEngine(T, c_max=c_max, family=family)
+        engine = DensityEngine(T, c_max=150 if c_max is None else c_max, family=family)
     engine.fill_lambdas([p for p, _, _ in primes] + [p * p for p, _, _ in roots])
     phi0 = float(phi.phi(np.array([0.0]))[0])
     hat0 = float(phi.phi_hat(np.array([0.0]))[0])

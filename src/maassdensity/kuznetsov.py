@@ -32,7 +32,12 @@ from .errors import (
 )
 from .maassdata import _KIM_SARNAK, _untempered_prime
 from .specfun import _series_grid_prefactor, _series_grid_sum, zeta_abs2_grid
-from .weights import WeightFamily, default_family, make_spectral_weight
+from .weights import (
+    WeightFamily,
+    _transform_rows,
+    default_family,
+    make_spectral_weight,
+)
 
 __all__ = [
     "AdmissibleWeight",
@@ -200,12 +205,50 @@ def _divisors(n: int) -> list:
     return sorted(set(out + [n // d for d in out]))
 
 
+# Largest x of the series batch of _OscGrid.integrals. The batch sums each
+# series coefficient over the nodes before it sums the series over n, so it
+# rounds at about u ||wrH||_1 sum_n (x^2/4)^n / (n!)^2 = u ||wrH||_1 I_0(x),
+# where the per-x series cancels node by node. I_0(8) = 427.6: there the
+# batch agrees with the per-x route within 6.4 u ||wrH||_1 I_0(x) over
+# Gaussian and log-conductor weights, and with a 60-digit mpmath node sum as
+# closely as that route does (1.03e-14 against 1.09e-14 at x = 7.7 for the
+# Gaussian (14.7, 3.675)). At x = 4 pi sqrt(6) = 30.78, where I_0 = 2.6e12,
+# it misses that sum by 9.9e-9 against the per-x 6.0e-12.
+_BATCH_X_MAX = 8.0
+# Bound below which the batch drops a series term. Term n at node r is
+# A_r c_n(r) q^n with |c_n(r)| <= 1/(n!)^2 (as |k + 2ir| >= k) and
+# |A_r|^2 = tanh(pi r)/(pi r) <= 1 (as |Gamma(1 + 2ir)|^2 =
+# 2 pi r / sinh(2 pi r)), so (x^2/4)^n / (n!)^2 bounds it at every r. The
+# bound rises from 1 at n = 0 to its peak near n = x/2 and falls after it,
+# so its first value below 1e-18 lies past the peak, and the dropped tail is
+# at most about 1e-18 ||wrH||_1: the per-x series also stops at 1e-18.
+_BATCH_TERM_TOL = 1e-18
+# Bytes of one node chunk of the coefficients b_n(r), built afresh for each
+# chunk and never cached: the whole node x term matrix of the T = 21
+# conductor grid would take 63,440 x 24 x 16 bytes = 24 MB. With 64 KiB
+# chunks the trace benchmark's peak RSS rose by 0.4 MB.
+_BATCH_CHUNK_BYTES = 64 * 1024
+
+
+def _series_terms(x: np.ndarray) -> np.ndarray:
+    """Series terms the batch keeps at each x: the first n whose bound
+    (x^2/4)^n / (n!)^2 is below _BATCH_TERM_TOL."""
+    y = 0.25 * x * x
+    k = np.zeros(x.shape, dtype=int)
+    bound = np.ones(x.shape)
+    while (live := bound >= _BATCH_TERM_TOL).any():
+        k += live
+        bound[live] *= y[live] / (k[live] * k[live])
+    return k
+
+
 class _OscGrid:
     """Kloosterman-integral grid for a generic (non-h_T) weight.
 
     Panels track the e^{2ir log(x/2)} oscillation at the smallest x used;
-    the log-gamma and log-cosh node factors are computed once, so the
-    per-x series costs only a handful of vectorized passes.
+    the log-gamma and log-cosh node factors are computed once. integrals
+    takes every x <= _BATCH_X_MAX through one series batch and the larger x
+    one by one through integral.
     """
 
     def __init__(self, weight: AdmissibleWeight, x_min: float):
@@ -221,6 +264,59 @@ class _OscGrid:
         else:
             im = _series_grid_sum(self._pre, x).imag
         return 2j * float(np.dot(self.wrH, im))
+
+    def integrals(self, xs) -> np.ndarray:
+        """integral(x) for every x of xs.
+
+        An x > _BATCH_X_MAX is integral(x) bit for bit. The others come from
+        one batch over the series
+
+            J_{2ir}(x)/cosh(pi r) = e^{2ir log(x/2)} sum_n q^n A_r c_n(r),
+
+        q = -x^2/4, A_r = exp(-log Gamma(1 + 2ir) - log cosh(pi r)),
+        c_n = prod_{k <= n} 1/(k (k + 2ir)). With b_n = wrH A_r c_n and
+        theta = 2r log(x/2), the node sum of term n is
+        P_n(x) = cos(theta) @ Im b_n + sin(theta) @ Re b_n, formed for all x
+        of a band of equal term count by _transform_rows, one node chunk at a
+        time, and summed over n by Horner's rule in q.
+        """
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(xs.shape, dtype=complex)
+        small = xs <= _BATCH_X_MAX
+        for i in np.flatnonzero(~small):
+            out[i] = self.integral(float(xs[i]))
+        if small.any():
+            out[small] = 2j * self._series_batch(xs[small])
+        return out
+
+    def _series_batch(self, x: np.ndarray) -> np.ndarray:
+        """sum_r wrH Im[J_{2ir}(x)/cosh(pi r)] for x <= _BATCH_X_MAX."""
+        terms = _series_terms(x)
+        bands = [(int(k), np.flatnonzero(terms == k)) for k in np.unique(terms)]
+        log_half = np.log(0.5 * x)  # theta = 2r log_half in _transform_rows
+        sums = [np.zeros((idx.size, k)) for k, idx in bands]
+        k_max = bands[-1][0]
+        nu, lg, lc = self._pre
+        step = max(1, _BATCH_CHUNK_BYTES // (16 * k_max))
+        for lo in range(0, self.r.size, step):
+            nodes = slice(lo, lo + step)
+            r = self.r[nodes]
+            b = np.empty((r.size, k_max), dtype=complex)
+            b[:, 0] = self.wrH[nodes] * np.exp(-lg[nodes] - lc[nodes])
+            for n in range(1, k_max):
+                b[:, n] = b[:, n - 1] / (n * (n + nu[nodes]))
+            re, im = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
+            for (k, idx), acc in zip(bands, sums):
+                acc += _transform_rows(np.cos, 2.0, log_half[idx], r, im[:, :k])
+                acc += _transform_rows(np.sin, 2.0, log_half[idx], r, re[:, :k])
+        out = np.empty(x.size)
+        for (k, idx), acc in zip(bands, sums):
+            q = -0.25 * x[idx] * x[idx]
+            val = acc[:, k - 1]
+            for n in range(k - 2, -1, -1):
+                val = val * q + acc[:, n]
+            out[idx] = val
+        return out
 
 
 # Grids cached on the weight (which carries its family) and, for the
@@ -269,8 +365,7 @@ def _geometric_terms(H: AdmissibleWeight, ms, n: int, c_max: int, c_star) -> lis
     if H.kind == "h_T":
         vals = _residue_evaluator(H.family, H.T).values(xs)
     else:
-        og = _osc_grid(H, min(roots) / c_max)
-        vals = np.array([og.integral(x) for x in xs], dtype=complex)
+        vals = _osc_grid(H, min(roots) / c_max).integrals(xs)
     ends = np.cumsum([c.size for c in cs]).tolist()
     grid = _smooth_grid(H)
     out = []

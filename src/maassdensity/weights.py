@@ -96,6 +96,8 @@ def _transform_rows(fn, scale: float, x, a: np.ndarray, w: np.ndarray):
     rows four at a time and the leftover rows in another order; the last
     block takes the remainder, so no block is a 1-row product, which numpy
     sends down another BLAS path. A 0-d x is the dense expression itself.
+    A 2-D w (nodes x columns) gives one column of output per column of w,
+    each equal to the dense product up to the rounding of the matrix product.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -105,7 +107,7 @@ def _transform_rows(fn, scale: float, x, a: np.ndarray, w: np.ndarray):
     rows = _block_rows(a.size)
     blocks = max(1, n // rows)
     buf = np.empty((min(n, 2 * rows - 1), a.size))
-    out = np.empty(n)
+    out = np.empty((n,) + w.shape[1:])
     for b in range(blocks):
         lo = b * rows
         hi = n if b == blocks - 1 else lo + rows
@@ -114,7 +116,7 @@ def _transform_rows(fn, scale: float, x, a: np.ndarray, w: np.ndarray):
         np.multiply(scale, m, out=m)
         fn(m, out=m)
         np.matmul(m, w, out=out[lo:hi])
-    return out.reshape(x.shape)
+    return out.reshape(x.shape + w.shape[1:])
 
 
 def bump(u):

@@ -18,6 +18,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
@@ -186,6 +187,15 @@ def test_kloosterman_sums_match_scalar(ms, n, c_max):
     for m, row in zip(ms, s):
         want = [kloosterman_sum(m, n, c) for c in range(1, c_max + 1)]
         assert np.array_equal(_bits(row), _bits(want))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 7), (-7, 4)])
+def test_kloosterman_sums_single_m_matches_scalar(m, n):
+    # one m skips the residue dedupe; the trace-formula calls reach c = 1000
+    s = kloosterman_sums([m], n, 1000)
+    want = [kloosterman_sum(m, n, c) for c in range(1, 1001)]
+    assert s.shape == (1, 1000)
+    assert np.array_equal(_bits(s[0]), _bits(want))
 
 
 def test_inverse_table_cache_covers_default_c_max():

@@ -119,6 +119,15 @@ def test_engine_must_match_t_and_family():
         explicit_formula_average(11, phi, engine=engine, family=make_weight_family(12))
 
 
+def test_engine_must_match_c_max(engine11):
+    # the engine's c_max is not silently preferred over a given one
+    phi = make_test_function(0.6)
+    with pytest.raises(DomainError):
+        explicit_formula_average(11, phi, c_max=300, engine=engine11)
+    given = explicit_formula_average(11, phi, c_max=engine11.c_max, engine=engine11)
+    assert given == explicit_formula_average(11, phi, engine=engine11)
+
+
 def test_convergence_scan_cost_guard_before_any_engine(monkeypatch):
     # every eta's prime cap is checked before the T's engine is built:
     # eta = 1.9 at T = 81 means primes up to 81^3.8 ~ 1.8e7

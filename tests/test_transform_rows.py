@@ -1,6 +1,8 @@
 """The blocked band-limited transform weights._transform_rows behind
 s_real_grid, s_imag_axis_scaled and TestFunction.phi: bit for bit the dense
-fn(c * outer(x, a)) @ w under one BLAS thread, at a bounded memory cost."""
+fn(c * outer(x, a)) @ w under one BLAS thread, at a bounded memory cost. With
+a matrix w (the Kloosterman series batch) each column is the dense product
+within the rounding of the matrix product."""
 
 import json
 import math
@@ -11,7 +13,12 @@ import numpy as np
 from maassdensity.besseltransform import _gl_panels, _osc_panel_edges
 from maassdensity.rmt import make_test_function
 from maassdensity.rmt import test_function_eval as tf_eval
-from maassdensity.weights import default_family, make_spectral_weight
+from maassdensity.weights import (
+    _block_rows,
+    _transform_rows,
+    default_family,
+    make_spectral_weight,
+)
 from pinned_blas import run_pinned
 
 # Runs under one BLAS thread. The dense reference does its elementwise steps
@@ -106,3 +113,25 @@ def test_h_t_real_memory_bounded_on_dj_nodes():
 def test_phi_memory_bounded():
     phi = make_test_function(0.8)
     assert _traced_peak(phi.phi, np.linspace(0.0, 40.0, 4096)) < 8 * 2**20
+
+
+def test_matrix_weights_match_dense_within_rounding():
+    # a 2-D w gives one output column per column; fn(scale * outer(x, a)) is
+    # formed as the dense expression forms it, so only the summation order
+    # of the matrix product differs: at most k u sum_i |fn_i w_i| over k nodes
+    rng = np.random.default_rng(15)
+    k = 700
+    a = np.sort(rng.uniform(0.0, 50.0, k))
+    w = rng.standard_normal((k, 24))
+    rows = _block_rows(k)
+    for n in (1, 3, 5, rows - 1, rows, rows + 1, 2 * rows + 3):
+        x = rng.uniform(-6.0, 2.0, n)
+        m = np.cos(2.0 * np.multiply.outer(x, a))
+        got = _transform_rows(np.cos, 2.0, x, a, w)
+        assert got.shape == (n, 24)
+        assert np.all(np.abs(got - m @ w) <= k * 2.0**-52 * (np.abs(m) @ np.abs(w)))
+    x = np.float64(0.3)
+    m = np.sin(2.0 * np.multiply.outer(x, a))
+    got = _transform_rows(np.sin, 2.0, x, a, w)
+    assert got.shape == (24,)
+    assert np.all(np.abs(got - m @ w) <= k * 2.0**-52 * (np.abs(m) @ np.abs(w)))
