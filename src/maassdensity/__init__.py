@@ -69,7 +69,6 @@ from .rmt import (
     make_test_function,
     rmt_density_eval,
     rmt_expected_value,
-    test_function_eval,
 )
 from .weights import (
     SpectralWeight,
@@ -128,7 +127,6 @@ __all__ = [
     # random matrix predictions
     "TestFunction",
     "make_test_function",
-    "test_function_eval",
     "rmt_density_eval",
     "rmt_expected_value",
     "GROUPS",

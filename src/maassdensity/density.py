@@ -41,6 +41,9 @@ __all__ = [
 
 _PRIME_CAP = 10 ** 7
 
+# Kloosterman modulus cap of the conductor average in every DensityEngine
+_CONDUCTOR_C_MAX = 60
+
 
 def extended_threshold(M: int) -> float:
     """Support bound available with an order-M weight: 2 - 3/(2(M+1))."""
@@ -86,15 +89,14 @@ class DensityEngine:
     and the memoised Avg(lambda_m). The family defaults to
     weights.default_family()."""
 
-    def __init__(self, T: int, c_max: int = 150, conductor_c_max: int = 60,
-                 family: WeightFamily | None = None):
+    def __init__(self, T: int, c_max: int = 150, family: WeightFamily | None = None):
         self.T = T = _check_T(T)
         self.c_max = int(c_max)
         self.family = family or default_family()
         self.weight = weight_spectral(T, self.family)
         self.mass = geometric_side(1, 1, self.weight, c_max=self.c_max).total()
         lg = geometric_side(
-            1, 1, weight_log_conductor(T, self.family), c_max=conductor_c_max
+            1, 1, weight_log_conductor(T, self.family), c_max=_CONDUCTOR_C_MAX
         )
         self.avg_log_conductor = lg.total() / self.mass
         self._lambdas: dict = {}  # m -> (avg, small-c, large-c, tail budget)
@@ -125,15 +127,16 @@ class DensityEngine:
             )
 
     def averaged_lambda(self, m: int) -> tuple:
-        """(Avg(lambda_m), small-c part, large-c part) of the Kloosterman piece.
+        """(Avg(lambda_m), small-c part, large-c part, tail budget) of the
+        Kloosterman piece; (1, 0, 0, 0) at m = 1.
 
-        A one-m view of fill_lambdas. Memoised per m with its tail budget:
-        eta scans on one engine reuse every m they share."""
+        A one-m view of fill_lambdas. Memoised per m: eta scans on one
+        engine reuse every m they share."""
         if m == 1:
-            return 1.0, 0.0, 0.0
+            return 1.0, 0.0, 0.0, 0.0
         if m not in self._lambdas:
             self.fill_lambdas([m])
-        return self._lambdas[m][:3]
+        return self._lambdas[m]
 
 
 def _prime_support(T: int, phi: TestFunction) -> tuple:
@@ -195,8 +198,8 @@ def explicit_formula_average(
     budget = 0.0  # Kloosterman tail budgets of the m used by this report
     for p, log_p, hat in primes:
         coef = 2.0 * log_p / (math.sqrt(p) * log_r) * hat
-        avg, small_c, large_c = engine.averaged_lambda(p)
-        budget += engine._lambdas[p][3]
+        avg, small_c, large_c, tail = engine.averaged_lambda(p)
+        budget += tail
         prime_term += coef * avg
         if p >= p_thresh:
             split_lp_sc += coef * small_c
@@ -207,8 +210,8 @@ def explicit_formula_average(
     prime_sq_term = 0.0
     for p, log_p, hat in roots:
         coef = 2.0 * log_p / (p * log_r) * hat
-        avg, _, _ = engine.averaged_lambda(p * p)
-        budget += engine._lambdas[p * p][3]
+        avg, _, _, tail = engine.averaged_lambda(p * p)
+        budget += tail
         prime_sq_term += coef * avg
 
     total = const_term + conductor_term - prime_term - prime_sq_term

@@ -17,7 +17,6 @@ from .weights import _transform_rows, bump, gauss_legendre
 __all__ = [
     "TestFunction",
     "make_test_function",
-    "test_function_eval",
     "rmt_density_eval",
     "rmt_expected_value",
     "GROUPS",
@@ -95,14 +94,6 @@ def make_test_function(eta: float) -> TestFunction:
     if not (0.0 < eta <= 4.0):
         raise DomainError("eta must lie in (0, 4]")
     return _cached_test_function(eta)
-
-
-def test_function_eval(phi: TestFunction, which: str, t: float) -> float:
-    if which == "x_space":
-        return float(phi.phi(np.array([float(t)]))[0])
-    if which == "xi_space":
-        return float(phi.phi_hat(np.array([float(t)]))[0])
-    raise DomainError("which must be 'x_space' or 'xi_space'")
 
 
 def _sine_kernel(y):

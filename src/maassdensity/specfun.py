@@ -1,5 +1,5 @@
-"""Complex special functions: log-gamma, integer and imaginary-order Bessel J,
-zeta right of the 1-line, and the large-order phase/leading asymptotic.
+"""Complex special functions: log-gamma, imaginary-order Bessel J, zeta right
+of the 1-line, and the large-order phase.
 
 The imaginary-order Bessel function is only ever exposed pre-scaled by
 1/cosh(pi*r); the unscaled J_{2ir} overflows binary64 already for r around
@@ -16,26 +16,20 @@ from itertools import repeat
 
 import numpy as np
 
-from ._fastpath import j_array
 from .errors import ConvergenceError, DomainError, OverflowGuardError, PoleError
 
 __all__ = [
     "ScaledBesselValue",
     "log_gamma_complex",
     "log_gamma_grid",
-    "bessel_j_int",
-    "bessel_j_int_integral_check",
     "scaled_bessel_j_imag",
     "scaled_bessel_j_imag_grid",
     "scaled_bessel_series_grid",
     "zeta_right_of_one",
     "zeta_abs2_grid",
     "dunster_xi",
-    "dunster_leading_term",
     "log_cosh",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 _log = logging.getLogger("maassdensity")
 
@@ -205,77 +199,6 @@ def log_cosh(y: float) -> float:
     if a < 20.0:
         return math.log(math.cosh(a))
     return a - math.log(2.0) + math.log1p(math.exp(-2.0 * a))
-
-
-# ----------------------------------------------------------------------------
-# Integer-order Bessel J
-# ----------------------------------------------------------------------------
-
-_X_OVERFLOW_GUARD = 1.0e5
-
-
-def bessel_j_int(n: int, x: float) -> float:
-    """J_n(x) for integer n and real x, |error| <= ~1e-12 at desk scale."""
-    n = int(n)
-    x = float(x)
-    if abs(x) > _X_OVERFLOW_GUARD:
-        raise OverflowGuardError(f"|x| = {abs(x):g} exceeds the Bessel guard")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -sign
-    if x < 0:
-        if n % 2 == 1:
-            sign = -sign
-        x = -x
-    if x < 12.0:
-        return sign * _bessel_j_series(n, x)
-    return sign * j_array(x, n)[n]
-
-
-def _bessel_j_series(n: int, x: float) -> float:
-    """Power series J_n(x) = sum (-1)^k (x/2)^{n+2k} / (k! (n+k)!), n,x >= 0."""
-    half = 0.5 * x
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_t0 = n * math.log(half) - math.lgamma(n + 1)
-    if log_t0 < -700.0:
-        return 0.0
-    term = math.exp(log_t0)
-    acc = term
-    comp = 0.0
-    for k in range(1, 400):
-        term *= -(half * half) / (k * (n + k))
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        if abs(term) < 1e-18 * max(1.0, abs(acc)):
-            return acc
-    raise ConvergenceError("integer Bessel series did not converge")
-
-
-def bessel_j_int_integral_check(k: int, x: float) -> float:
-    """J_k(2*pi*x) by direct quadrature of the oscillatory integral formula.
-
-    Independent slow route used as an oracle for bessel_j_int. scipy.integrate
-    is imported here, its one use, so that importing the package skips it.
-    """
-    from scipy.integrate import quad
-
-    k = int(k)
-    if abs(k) > 10_000:
-        raise DomainError("|k| too large for the integral check")
-    x = float(x)
-
-    def f(t):
-        return math.cos(_TWO_PI * (k * t - x * math.sin(_TWO_PI * t)))
-
-    val, err = quad(f, -0.5, 0.5, limit=200 + 8 * (abs(k) + int(abs(x))), epsabs=1e-13)
-    if err > 1e-8:
-        raise ConvergenceError(f"integral formula quadrature error {err:g}")
-    return val
 
 
 # ----------------------------------------------------------------------------
@@ -871,7 +794,7 @@ def zeta_abs2_grid(r: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Large-order phase and leading asymptotic
+# Large-order phase
 # ----------------------------------------------------------------------------
 
 
@@ -883,22 +806,3 @@ def dunster_xi(z: float) -> float:
     root = math.hypot(1.0, z)
     return root + math.log(z / (1.0 + root))
 
-
-# Leading constant of the scaled large-order asymptotic, pinned by matching
-# against the Hankel regime; equals exp(-i pi/4)/sqrt(2 pi) analytically.
-DUNSTER_SCALED_CONSTANT = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi)
-
-
-def dunster_leading_term(r: float, x: float) -> complex:
-    """Leading large-order approximation to J_{2ir}(x)/cosh(pi r).
-
-    Relative accuracy is O(1/r); returns
-    2*c * exp(2 i r xi(x/2r)) / (4 r^2 + x^2)^{1/4} with the pinned constant.
-    """
-    r = float(r)
-    x = float(x)
-    if not (r > 0.0 and x > 0.0):
-        raise DomainError("dunster_leading_term requires r > 0 and x > 0")
-    phase = 2.0 * r * dunster_xi(x / (2.0 * r))
-    amp = (4.0 * r * r + x * x) ** -0.25
-    return 2.0 * DUNSTER_SCALED_CONSTANT * cmath.exp(1j * phase) * amp

@@ -1,10 +1,11 @@
 """The batched density kernel: accuracy against independent oracles, and
 batch independence.
 
-Miller rows (`j_rows`) are checked against scipy.special.jv, and
-`ResidueEvaluator.values` against `_residue_value`, which sums the residue
-series in another order. The scalar entry points `j_array` and
-`ResidueEvaluator.value` are one-element calls of the batch functions (each
+Miller rows (`besseltransform.j_rows`) are checked against
+scipy.special.jv, and `ResidueEvaluator.values` against `_residue_value`,
+which sums the residue series in another order. The scalar callers
+(`j_rows([x], n)[0]` in the S_J and residue sums, and
+`ResidueEvaluator.value`) are one-element calls of the batch functions (each
 call costs milliseconds; pass many points to the batch), so the bit-for-bit
 tests here check that a row's bits do not depend on the batch it is in: the
 residue sum cancels heavily at large X, and a row that moved with its batch
@@ -23,15 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from maassdensity import _fastpath as fastpath
-from maassdensity import arithmetic, kuznetsov
-from maassdensity._fastpath import _BLOCK_BYTES, j_array, j_rows
+from maassdensity import arithmetic, besseltransform, kuznetsov
 from maassdensity.arithmetic import kloosterman_sum, kloosterman_sums
 from maassdensity.besseltransform import (
+    _BLOCK_BYTES,
     ResidueEvaluator,
     _first_family_terms,
     _k_max,
     _residue_value,
+    j_rows,
 )
 from maassdensity.density import (
     DensityEngine,
@@ -78,7 +79,7 @@ def test_j_rows_bit_identical_to_scalar_recurrence(rows):
     out = j_rows(xs, nmax)
     assert out.shape == (len(rows), nmax.max() + 1)
     for row, (x, n) in zip(out, rows):
-        assert np.array_equal(_bits(row[: n + 1]), _bits(j_array(x, n)))
+        assert np.array_equal(_bits(row[: n + 1]), _bits(j_rows([x], n)[0]))
         assert not np.any(row[n + 1 :])
 
 
@@ -100,20 +101,22 @@ def test_j_rows_against_scipy(rows):
 
 def test_j_rows_bit_identical_across_blocks(monkeypatch):
     # blocks of a few rows each: later blocks start lower than the widest row
-    monkeypatch.setattr(fastpath, "_BLOCK_BYTES", 40_000)
+    # (the patch would also shrink ResidueEvaluator.values' chunks, which read
+    # the same constant; no evaluator runs here)
+    monkeypatch.setattr(besseltransform, "_BLOCK_BYTES", 40_000)
     xs = np.array([200.0, 0.3, 35.0, 90.0, 1.5, 120.0, 7.0, 0.02])
     nmax = np.array([800, 3, 120, 60, 500, 400, 9, 2])
     out = j_rows(xs, nmax)
     for row, x, n in zip(out, xs, nmax):
-        assert np.array_equal(_bits(row[: n + 1]), _bits(j_array(x, n)))
+        assert np.array_equal(_bits(row[: n + 1]), _bits(j_rows([x], n)[0]))
         assert not np.any(row[n + 1 :])
 
 
-def test_j_rows_matches_j_array_edge_arguments():
+def test_j_rows_edge_arguments_match_one_row_calls():
     xs = np.array([-3.5, 1e-12, -1e-11, 0.0, 40.0])
     out = j_rows(xs, 9)
     for row, x in zip(out, xs):
-        assert np.array_equal(_bits(row), _bits(j_array(x, 9)))
+        assert np.array_equal(_bits(row), _bits(j_rows([x], 9)[0]))
     assert j_rows(np.zeros(0), 5).shape == (0, 1)
 
 
@@ -215,7 +218,7 @@ def test_averaged_lambda_memo_repeats(m):
     engine = _engine("memo")
     first = engine.averaged_lambda(m)
     assert engine.averaged_lambda(m) == first
-    assert len(first) == 3
+    assert len(first) == 4
 
 
 def test_error_budget_belongs_to_its_report():

@@ -69,7 +69,7 @@ def test_bridge_first_residue_family_equals_twice_sj():
             term = (
                 (-1.0) ** k
                 * (2 * k + 1)
-                * bt.j_array(X, 2 * k + 1)[2 * k + 1]
+                * bt.j_rows([X], 2 * k + 1)[0, 2 * k + 1]
                 * sw.h_T_halfint_imag(k)
             )
             acc += term

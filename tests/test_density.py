@@ -43,18 +43,18 @@ def test_engine_mass_and_conductor_scales(engine11):
 
 
 def test_averaged_lambda_split_consistency(engine11):
-    avg, small_c, large_c = engine11.averaged_lambda(2)
+    avg, small_c, large_c, _ = engine11.averaged_lambda(2)
     grid = kuznetsov._smooth_grid(engine11.weight)
     eis = grid.eisenstein_contribution(2, 1) / engine11.mass
     assert avg == pytest.approx(eis + small_c + large_c, abs=1e-14)
-    assert engine11.averaged_lambda(1) == (1.0, 0.0, 0.0)
+    assert engine11.averaged_lambda(1) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_averaged_lambda_matches_averaged_eigenvalue(engine11):
     # one kernel behind both: they differ only in how the mass-scaled
     # Eisenstein and Kloosterman parts are rounded and added
     for m in (2, 3, 4, 9, 97, 121):
-        avg, small_c, large_c = engine11.averaged_lambda(m)
+        avg, small_c, large_c, _ = engine11.averaged_lambda(m)
         want = kuznetsov.averaged_eigenvalue(m, 11, c_max=engine11.c_max)
         scale = abs(avg) + abs(small_c) + abs(large_c)
         assert abs(avg - want) <= 8.0 * 2.0 ** -52 * scale
@@ -62,7 +62,7 @@ def test_averaged_lambda_matches_averaged_eigenvalue(engine11):
 
 @pytest.mark.parametrize("m", [0, -3])
 def test_engine_rejects_m_below_one(m):
-    engine = DensityEngine(5, c_max=20, conductor_c_max=20)
+    engine = DensityEngine(5, c_max=20)
     with pytest.raises(DomainError):
         engine.averaged_lambda(m)
     with pytest.raises(DomainError):

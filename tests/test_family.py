@@ -42,7 +42,7 @@ def test_residue_sum_uses_the_passed_family():
 
 
 def test_density_engine_stores_its_family():
-    engine = DensityEngine(5, c_max=20, conductor_c_max=20, family=M12)
+    engine = DensityEngine(5, c_max=20, family=M12)
     assert engine.family is M12 and engine.weight.family is M12
     assert kuznetsov._residue_evaluator(engine.family, engine.T).family is M12
-    assert DensityEngine(5, c_max=20, conductor_c_max=20).family is default_family()
+    assert DensityEngine(5, c_max=20).family is default_family()

@@ -49,3 +49,47 @@ def test_no_unused_module_level_imports():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in _module_imports(tree) if name not in read]
     assert not unused, unused
+
+
+def _private_definitions(tree):
+    """(name, statement) of every module-level _name a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_unread_private_module_names():
+    # a module-level _name must be read in its own module outside its own
+    # definition, or be imported (or read as an attribute) by another module
+    # of the package; otherwise nothing in the program can reach it
+    files = sorted((ROOT / "src" / "maassdensity").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    used_by = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                used_by.setdefault(name, set()).add(path)
+    unread = []
+    for path, tree in trees.items():
+        for name, stmt in _private_definitions(tree):
+            if used_by.get(name, set()) - {path}:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                   for other in tree.body if other is not stmt for n in ast.walk(other)):
+                continue
+            unread.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
+    assert not unread, unread

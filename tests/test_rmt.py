@@ -17,7 +17,6 @@ from maassdensity.rmt import (
     make_test_function,
     rmt_density_eval,
     rmt_expected_value,
-    test_function_eval as tf_eval,
 )
 
 
@@ -39,24 +38,18 @@ def test_eta_validation():
 def test_phi_hat_support_and_shape():
     phi = make_test_function(0.8)
     # hat is the scaled bump: even, positive inside, 0 at and beyond eta
-    assert tf_eval(phi, "xi_space", 0.0) == pytest.approx(math.exp(-1.0))
-    assert tf_eval(phi, "xi_space", 0.79) > 0.0
-    assert tf_eval(phi, "xi_space", 0.8) == 0.0
-    assert tf_eval(phi, "xi_space", 1.5) == 0.0
-    assert tf_eval(phi, "xi_space", -0.3) == tf_eval(
-        phi, "xi_space", 0.3
-    )
+    assert phi.phi_hat(0.0) == pytest.approx(math.exp(-1.0))
+    assert phi.phi_hat(0.79) > 0.0
+    assert phi.phi_hat(0.8) == 0.0
+    assert phi.phi_hat(1.5) == 0.0
+    assert phi.phi_hat(-0.3) == phi.phi_hat(0.3)
 
 
 def test_phi_even_and_positive_at_zero():
     phi = make_test_function(1.0)
-    assert tf_eval(phi, "x_space", 0.0) > 0.0
+    assert phi.phi(0.0) > 0.0
     for x in (0.4, 1.9, 7.2):
-        assert tf_eval(phi, "x_space", -x) == pytest.approx(
-            tf_eval(phi, "x_space", x), abs=1e-13
-        )
-    with pytest.raises(DomainError):
-        tf_eval(phi, "fourier", 0.0)
+        assert phi.phi(-x) == pytest.approx(phi.phi(x), abs=1e-13)
 
 
 def test_plancherel_mass():
@@ -64,7 +57,7 @@ def test_plancherel_mass():
     phi = make_test_function(0.9)
     xs = np.linspace(-400.0, 400.0, 2 ** 17 + 1)
     mass = np.trapezoid(phi.phi(xs), xs)
-    assert abs(mass - tf_eval(phi, "xi_space", 0.0)) < 1e-6
+    assert abs(mass - phi.phi_hat(0.0)) < 1e-6
 
 
 def test_density_eval_closed_forms():
@@ -112,7 +105,7 @@ def _expected_x_space_oversampled(phi, group):
     k = rmt._sine_kernel(2.0 * xs)
     smooth = {"SO_even": 1.0 + k, "SO_odd": 1.0 - k, "Sp": 1.0 - k}
     w = smooth.get(group, np.ones_like(xs))
-    return 2.0 * float(np.dot(ws, phi.phi(xs) * w)) + delta * tf_eval(phi, "x_space", 0.0)
+    return 2.0 * float(np.dot(ws, phi.phi(xs) * w)) + delta * phi.phi(0.0)
 
 
 @pytest.mark.parametrize("eta", [0.3, 0.6, 0.8, 1.0, 1.2, 1.5, 1.9])
@@ -125,7 +118,7 @@ def test_x_space_grid_matches_oversampled_grid(eta):
 
 def test_unitary_prediction_is_hat_at_zero():
     phi = make_test_function(1.2)
-    want = tf_eval(phi, "xi_space", 0.0)
+    want = phi.phi_hat(0.0)
     assert abs(rmt_expected_value(phi, "U") - want) < 1e-9
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from maassdensity.besseltransform import _gl_panels, _osc_panel_edges
 from maassdensity.rmt import make_test_function
-from maassdensity.rmt import test_function_eval as tf_eval
 from maassdensity.weights import (
     _block_rows,
     _transform_rows,
@@ -83,10 +82,10 @@ def test_zero_dim_inputs_keep_their_types():
     assert type(s) is type(want) and s == want
     phi = make_test_function(0.8)
     for t in (0.0, 0.37, 5.0):
-        v = tf_eval(phi, "x_space", t)
-        x = np.array([t])
+        x = np.float64(t)
+        v = phi.phi(x)
         want = np.cos(2.0 * math.pi * np.multiply.outer(x, phi._xi)) @ phi._wq
-        assert type(v) is float and v == float(want[0])
+        assert type(v) is type(want) and v == want
 
 
 def _traced_peak(f, *args) -> float:
