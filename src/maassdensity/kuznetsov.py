@@ -449,7 +449,12 @@ def _lambda_of(record, m: int) -> float:
 
 
 def spectral_side(m: int, n: int, H: AdmissibleWeight, data) -> tuple:
-    """(finite spectral sum, tail budget from a quadratic count fit)."""
+    """(finite spectral sum, tail budget from Weyl's law).
+
+    The tail beyond the last record counts the forms at Weyl's density for
+    SL_2(Z), dN/dt = t/6 from N(t) = t^2/12 + O(t log t), with
+    lambda_m lambda_n capped at 4 (mn)^theta (Kim-Sarnak theta).
+    """
     if not data:
         raise DomainError("spectral data must be nonempty")
     ts = [rec.t for rec in data]
@@ -465,12 +470,10 @@ def spectral_side(m: int, n: int, H: AdmissibleWeight, data) -> tuple:
     for rec in data:
         hv = float(H.eval(np.array([rec.t]))[0])
         acc += hv / rec.norm_sq * _lambda_of(rec, m) * _lambda_of(rec, n)
-    # quadratic eigenvalue-count model N(t) ~ a t^2 fitted to the data itself
     t_max = ts[-1]
-    a_fit = len(data) / (t_max * t_max) if t_max > 0 else 0.0
     lam_cap = 4.0 * (m * n) ** _KIM_SARNAK
     grid = np.linspace(t_max, H.r_cut() + t_max + 1.0, 2000)
-    dens = 2.0 * a_fit * grid
+    dens = grid / 6.0
     tail = lam_cap * float(
         np.trapezoid(np.abs(H.eval(grid)) * dens, grid)
     )

@@ -220,16 +220,6 @@ _SERIES_QUIET_RUN = 40
 _TARGET_REL = 1e-11
 
 
-def _mp_scaled(r: float, x: float) -> complex:
-    """Arbitrary-precision fallback for the cancellation regime."""
-    import mpmath as mp
-
-    digits = int(0.23 * x) + 30
-    with mp.workdps(digits):
-        v = mp.besselj(2j * mp.mpf(r), mp.mpf(x)) / mp.cosh(mp.pi * mp.mpf(r))
-        return complex(v)
-
-
 def _scale_estimate(r: float, x: float) -> float:
     s = 4.0 * r * r + x * x
     if s == 0.0:  # both below ~1e-162: the same bound without squaring
@@ -249,9 +239,9 @@ def scaled_bessel_j_imag(r: float, x: float) -> ScaledBesselValue:
     `scaled_bessel_j_imag_grid` call.
 
     A call costs about 2-30 ms on a 2-vCPU VM (the transition band
-    |2r| ~ x, where the double-double route runs, is the dear end), far
-    more than a node of a batch: callers with many r at one x pass them to
-    `scaled_bessel_j_imag_grid` at once.
+    |2r| ~ x, where the double-double and fixed-point routes run, is the
+    dear end), far more than a node of a batch: callers with many r at one
+    x pass them to `scaled_bessel_j_imag_grid` at once.
     """
     r = float(r)
     x = float(x)
@@ -267,17 +257,20 @@ def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
     the power series where it is plausible (x <= 36 or 8r >= x^2/12), the
     Hankel expansion (x > 20), the series for the remaining implausible
     nodes, the double-double series for the nodes still left (the
-    transition band |2r| ~ x), and mpmath for those it misses. The series,
-    Hankel and double-double sums run over all their nodes at once with
-    per-node state only; a node leaves the active arrays when its sum stops,
-    so a node's value does not depend on the batch it is in. Satisfies
-    value(-r, x) = conj(value(r, x)) exactly. The route counts go to the
-    "maassdensity" logger at DEBUG.
+    transition band |2r| ~ x), and the exact fixed-point series for those
+    it misses. A node that the fixed-point route's estimate also misses
+    raises ConvergenceError. Every route runs over all its nodes at once
+    with per-node state only; a node leaves the active arrays when its sum
+    stops, so a node's value does not depend on the batch it is in.
+    Satisfies value(-r, x) = conj(value(r, x)) exactly. The route counts go
+    to the "maassdensity" logger at DEBUG.
     """
     x = float(x)
     r = np.asarray(r, dtype=float)
-    if not x > 0.0:
-        raise DomainError("scaled_bessel_j_imag requires x > 0")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError("scaled_bessel_j_imag requires a finite x > 0")
+    if not np.all(np.isfinite(r)):
+        raise DomainError("scaled_bessel_j_imag requires finite r")
     if np.any(np.abs(r) > 1.0e4):
         raise DomainError("scaled_bessel_j_imag requires |r| <= 1e4")
     flat = r.ravel()
@@ -309,14 +302,18 @@ def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
         left = np.union1d(left[plausible[left]], late)
     idx = left
     left = take(idx, *_series_dd_batch(a[idx], x, target[idx]))
-    for i in left.tolist():
-        out[i] = _mp_scaled(float(a[i]), x)
+    missed = take(left, *_series_fixed_batch(a[left], x))
+    if missed.size:
+        raise ConvergenceError(
+            f"fixed-point Bessel series misses its target at x = {x!r} on "
+            f"{missed.size} nodes, r = {float(a[missed[0]])!r} first")
     out[neg] = out[neg].conj()
     _log.debug(
         "scaled Bessel grid at x = %(x)r: %(nodes)d nodes, %(series)d series, "
-        "%(hankel)d Hankel, %(double_double)d double-double, %(mpmath)d mpmath",
+        "%(hankel)d Hankel, %(double_double)d double-double, "
+        "%(fixed_point)d fixed-point",
         {"x": x, "nodes": a.size, "series": n_series, "hankel": n_hankel,
-         "double_double": idx.size - left.size, "mpmath": left.size},
+         "double_double": idx.size - left.size, "fixed_point": left.size},
     )
     return out.reshape(r.shape)
 
@@ -548,6 +545,22 @@ def _log_gamma_stirling(z_re: np.ndarray, z_im: np.ndarray):
     return out_re, out_im, size
 
 
+def _series_t0(r: np.ndarray, x: float):
+    """The leading term t_0 = exp(2ir log(x/2) - log Gamma(1 + 2ir) -
+    log cosh(pi r)) of the series for r >= 0, in binary64: (re, im, rel).
+
+    rel = 4 2^-52 (1 + |2r log(x/2)| + size of log Gamma + log cosh) bounds
+    the relative rounding of t_0 and of one product with it; `size` sums the
+    moduli of the parts log Gamma is built from (`_log_gamma_stirling`).
+    """
+    lg_re, lg_im, lg_size = _log_gamma_stirling(np.ones(r.size), 2.0 * r)
+    lc = np.fromiter(map(log_cosh, map(float, math.pi * r)), float, count=r.size)
+    phase = (2.0 * r) * _log_half(x)
+    t0 = np.fromiter(map(cmath.exp, map(complex, -lg_re - lc, phase - lg_im)),
+                     complex, count=r.size)
+    return t0.real, t0.imag, (4.0 * _F64_EPS) * (((1.0 + np.abs(phase)) + lg_size) + lc)
+
+
 def _series_dd_batch(r: np.ndarray, x: float, target: np.ndarray):
     """Power series of J_{2ir}(x)/cosh(pi r), r >= 0, in complex double-double.
 
@@ -564,12 +577,7 @@ def _series_dd_batch(r: np.ndarray, x: float, target: np.ndarray):
     err = np.full(r.size, math.inf)
     if r.size == 0:
         return val, err
-    lg_re, lg_im, lg_size = _log_gamma_stirling(np.ones(r.size), 2.0 * r)
-    lc = np.fromiter(map(log_cosh, map(float, math.pi * r)), float, count=r.size)
-    phase = (2.0 * r) * _log_half(x)
-    t0 = np.fromiter(map(cmath.exp, map(complex, -lg_re - lc, phase - lg_im)),
-                     complex, count=r.size)
-    t0_re, t0_im = t0.real, t0.imag
+    t0_re, t0_im, t0_rel = _series_t0(r, x)
     t0_mag = np.abs(t0_re) + np.abs(t0_im)
     budget = target / (_DD_EPS * t0_mag)  # n max|s_n| must stay below this
     q = _two_prod(x, _split(x), x, _split(x))
@@ -608,14 +616,102 @@ def _series_dd_batch(r: np.ndarray, x: float, target: np.ndarray):
             i = pos[done]
             v_re, v_im = _c_prod(acc_re[0][done], acc_im[0][done], t0_re[i], t0_im[i])
             val[i] = _complex(v_re, v_im)
-            err[i] = (n * _DD_EPS) * max_mag[done] * t0_mag[i] + (4.0 * _F64_EPS) * (
-                ((1.0 + np.abs(phase[i])) + lg_size[i]) + lc[i]) * (np.abs(v_re) + np.abs(v_im))
+            err[i] = ((n * _DD_EPS) * max_mag[done] * t0_mag[i]
+                      + t0_rel[i] * (np.abs(v_re) + np.abs(v_im)))
         keep = ~(done | lost)
         if not keep.all():
             (pos, budget, max_mag, two_r, two_r_split, four_r2, s_re, s_im, acc_re,
              acc_im) = [tuple(v[keep] for v in a) if isinstance(a, tuple) else a[keep]
                         for a in (pos, budget, max_mag, two_r, two_r_split, four_r2,
                                   s_re, s_im, acc_re, acc_im)]
+    return val, err
+
+
+# ----------------------------------------------------------------------------
+# Exact fixed-point series for the nodes the double-double sum cannot hold
+# ----------------------------------------------------------------------------
+# Where the series cancels by more than 2^-104 can hold (x beyond about 70 in
+# the transition band), exact integers at a fixed binary point sum it at any
+# precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, ch. 1 and
+# 4). The terms grow to at most I_0(x) < e^x before they decay, so
+# P = 124 + floor(x / ln 2) keeps 124 bits below the largest.
+
+_FIXED_GUARD_BITS = 124
+
+
+def _series_fixed_batch(r: np.ndarray, x: float):
+    """Power series of J_{2ir}(x)/cosh(pi r), r >= 0, summed exactly in
+    integers at the fixed binary point 2^-P, P = 124 + floor(x / ln 2).
+
+    Sums the series of `_series_dd_batch`, s_0 = 1 and s_n = s_{n-1} q /
+    (n (n + 2ir)), q = -x^2/4, and multiplies the sum in binary64 by the same
+    t_0 (`_series_t0`). With x = B 2^-k and 2r = A 2^-D (one D for the
+    batch) a step is
+        S_n = floor(S_{n-1} K (n 2^D - iA) / (n (n^2 2^2D + A^2) 2^L)),
+    K = -B^2 2^max(h, 0), L = max(-h, 0), h = D - 2k - 2: exact integer
+    arithmetic and one floor per part, whose rational does not depend on D.
+    The floors leave E_n = |rho_n| E_{n-1} + sqrt(2) units of 2^-P in S_n,
+    |rho_n| = (x^2/4) / (n |n + 2ir|), computed alongside in binary64. A node
+    stops once 2n^2 >= x^2 (later ratios are at most 1/2, so the dropped
+    tail is at most |s_n|) and its term is below its running sum of E.
+    Returns (values, error estimates): 2^-P (sum E + tail) |t_0| plus
+    `_series_t0`'s rounding term. P depends on x alone and each node stops
+    on its own rule, so a node's bits do not depend on the batch it is in.
+    The binary64 t_0 bounds the reach: from x = 200 on, its rounding term
+    alone can pass the target once r exceeds about 315.
+    """
+    val = np.empty(r.size, dtype=complex)
+    err = np.empty(r.size)
+    if r.size == 0:
+        return val, err
+    t0_re, t0_im, t0_rel = _series_t0(r, x)
+    prec = _FIXED_GUARD_BITS + math.floor(x / math.log(2.0))
+    b, two_k = x.as_integer_ratio()
+    ratios = [v.as_integer_ratio() for v in (2.0 * r).tolist()]
+    d = max(den.bit_length() - 1 for _, den in ratios)
+    a = np.array([num << (d - den.bit_length() + 1) for num, den in ratios], dtype=object)
+    h = d - 2 * (two_k.bit_length() - 1) - 2
+    k_mul = -(b * b) << max(h, 0)
+    ka = a * k_mul
+    a2 = (a * a) << max(-h, 0)
+    unit = 1 << prec
+    s_re = np.full(r.size, unit, dtype=object)
+    s_im = np.zeros(r.size, dtype=object)
+    acc_re, acc_im = s_re.copy(), s_im.copy()
+    two_r = 2.0 * r
+    q_abs = 0.25 * x * x
+    e = np.zeros(r.size)
+    e_sum = np.zeros(r.size)
+    pos = np.arange(r.size)
+    n = 0
+    while pos.size:
+        if n >= _SERIES_MAX_TERMS:
+            raise ConvergenceError("fixed-point Bessel series hit the term cap")
+        n += 1
+        fn = float(n)
+        kn = k_mul * (n << d)
+        den = (a2 + ((n * n) << (2 * d + max(-h, 0)))) * n
+        s_re, s_im = (s_re * kn + s_im * ka) // den, (s_im * kn - s_re * ka) // den
+        acc_re += s_re
+        acc_im += s_im
+        with np.errstate(over="ignore"):
+            e = q_abs / (fn * np.sqrt(fn * fn + two_r * two_r)) * e + math.sqrt(2.0)
+        e_sum += e
+        if 2.0 * fn * fn < x * x:
+            continue
+        mag = np.abs(s_re) + np.abs(s_im)
+        done = mag < e_sum
+        if done.any():
+            i = pos[done]
+            v_re, v_im = _c_prod((acc_re[done] / unit).astype(float),
+                                 (acc_im[done] / unit).astype(float), t0_re[i], t0_im[i])
+            val[i] = _complex(v_re, v_im)
+            tail = mag[done].astype(float) + e[done]
+            err[i] = (np.ldexp(e_sum[done] + tail, -prec) * (np.abs(t0_re[i]) + np.abs(t0_im[i]))
+                      + t0_rel[i] * (np.abs(v_re) + np.abs(v_im)))
+            keep = ~done
+            pos, ka, a2, two_r, s_re, s_im, acc_re, acc_im, e, e_sum = (
+                v[keep] for v in (pos, ka, a2, two_r, s_re, s_im, acc_re, acc_im, e, e_sum))
     return val, err
 
 

@@ -32,7 +32,7 @@ from maassdensity.specfun import (
 )
 
 
-ROUTES = ("series", "hankel", "double_double", "mpmath")
+ROUTES = ("series", "hankel", "double_double", "fixed_point")
 
 
 class _RouteLog(logging.Handler):
@@ -104,7 +104,7 @@ def test_grid_matches_scalar_up_to_36(r, x):
         (25.0, 0.0, 60.0, {"series": 7, "hankel": 1}),  # x <= 36: series first
         (5.0, 0.0, 6.0, {"series": 8}),  # pi r < 20: the small-argument log cosh
         (74.34, 15.0, 45.0, {"double_double": 8}),  # the c = 1 term of (5, 7)
-        (74.34, 8.6, 9.5, {"mpmath": 8}),  # double-double estimate 2e-10 to 1.2e-9
+        (74.34, 8.6, 9.5, {"fixed_point": 8}),  # double-double estimate 2e-10 to 1.2e-9
     ],
 )
 def test_grid_single_route_grids(x, lo, hi, routes):
@@ -186,40 +186,74 @@ def test_double_double_route_against_mpmath(x, frac):
         assert abs(val[i] - _mp_reference(r[i], x)) <= est[i]
 
 
-@pytest.fixture
-def mp_calls(monkeypatch):
-    """The r of every mpmath fallback the Bessel routes take (the fallback
-    itself is stubbed out: only the count matters here)."""
-    calls = []
-    monkeypatch.setattr(sf, "_mp_scaled", lambda r, x: calls.append(r) or 0j)
-    return calls
+@settings(max_examples=20, deadline=None)
+@given(
+    x=st.floats(36.0, 200.0, exclude_min=True),
+    band=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    low=st.lists(st.floats(0.0, 0.125, exclude_max=True), min_size=1, max_size=3),
+)
+def test_fixed_point_route_against_mpmath(x, band, low):
+    # the transition band (r from x/20 to x) and r below x/8, where the
+    # series cancels most (by up to e^x)
+    r = np.sort(np.array(band + low) * x)
+    target = 1e-11 * np.array([sf._scale_estimate(v, x) for v in r])
+    val, est = sf._series_fixed_batch(r, x)
+    for i in range(r.size):
+        assert abs(val[i] - _mp_reference(r[i], x)) <= est[i] <= target[i]
+
+
+def test_fixed_point_route_bits_do_not_depend_on_the_batch():
+    # alone, next to a much smaller r (a larger shared shift D for 2r) and
+    # in a reversed batch, a node keeps its value and estimate bit for bit
+    x = 4.0 * math.pi * math.sqrt(35.0)
+    r = np.array([8.6, 9.05, 10.3, 12.1])
+    val, est = sf._series_fixed_batch(r, x)
+    back_val, back_est = sf._series_fixed_batch(r[::-1], x)
+    _assert_bits_equal(back_val[::-1], val)
+    assert np.array_equal(back_est[::-1], est)
+    for i in range(r.size):
+        for other in ([], [1e-9], [1e-200]):
+            got_val, got_est = sf._series_fixed_batch(np.array([r[i], *other]), x)
+            _assert_bits_equal(got_val[:1], val[i:i + 1])
+            assert got_est[0] == est[i]
 
 
 @pytest.mark.parametrize("X,T", [(40.0, 21), (39.5, 41)])
-def test_dj_quadrature_takes_no_mpmath(mp_calls, X, T):
-    bt.dj_quadrature(X, T)
-    assert mp_calls == []
+def test_dj_quadrature_takes_no_fixed_point_node(X, T):
+    # the double-double values these quadratures cancel over are pinned bit
+    # for bit; no node of theirs may move to another route
+    with _routes() as counts:
+        bt.dj_quadrature(X, T)
+    assert counts and sum(c["fixed_point"] for c in counts) == 0
 
 
 def test_dj_quadrature_at_40_21_keeps_the_mpmath_value(monkeypatch):
     # D_J(40, 21) ~ 5.4e-8 cancels by ~2e9 over its nodes: the double-double
     # route's ~5e-15 rounding per node moves it by 1.2e-11, a Lanczos log
-    # Gamma in t_0 by 1.5e-10; against mpmath on the same nodes it must stay
-    # within 1e-10
+    # Gamma in t_0 by 1.5e-10; with mpmath values on the double-double
+    # route's nodes it must stay within 1e-10
     got = bt.dj_quadrature(40.0, 21).value
-    dd = sf._series_dd_batch
-    monkeypatch.setattr(sf, "_series_dd_batch",
-                        lambda r, x, t: (dd(r, x, t)[0], np.full(r.size, np.inf)))
+    monkeypatch.setattr(sf, "_series_dd_batch", lambda r, x, t: (
+        np.array([_mp_reference(v, x) for v in r], dtype=complex), np.zeros(r.size)))
     want = bt.dj_quadrature(40.0, 21).value
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
-def test_osc_grid_mpmath_share_at_the_c1_term_of_57(mp_calls):
+def test_osc_grid_mpmath_share_at_the_c1_term_of_57(monkeypatch):
     # the g57 Gaussian of the trace-formula benchmark at x = 4 pi sqrt(35):
-    # before the double-double route, 3146 of its 3600 nodes took mpmath
+    # before the double-double route, 3146 of its 3600 nodes took mpmath,
+    # and 224 after it; now those take the fixed-point route
+    mp_calls = []
+    besselj = mpmath.besselj
+    monkeypatch.setattr(mpmath, "besselj",
+                        lambda *a, **k: mp_calls.append(a) or besselj(*a, **k))
     r = kz._OscGrid(weight_gaussian(14.7, 3.675), 0.125).r
-    scaled_bessel_j_imag_grid(r, 4.0 * math.pi * math.sqrt(35.0))
-    assert len(mp_calls) <= 0.1 * r.size
+    with _routes() as counts:
+        scaled_bessel_j_imag_grid(r, 4.0 * math.pi * math.sqrt(35.0))
+    [count] = counts
+    assert count["nodes"] == r.size == 3600 == sum(count[k] for k in ROUTES)
+    assert count["fixed_point"] <= 0.1 * r.size
+    assert mp_calls == []
 
 
 def test_grid_domain_errors():
@@ -227,6 +261,17 @@ def test_grid_domain_errors():
         scaled_bessel_j_imag_grid(np.array([1.0]), 0.0)
     with pytest.raises(DomainError):
         scaled_bessel_j_imag_grid(np.array([1.0, 2.0e4]), 40.0)
+
+
+@pytest.mark.parametrize("r,x", [
+    (1.0, math.inf), (1.0, math.nan), (math.nan, 40.0), (math.inf, 40.0),
+    (-math.inf, 74.34),
+])
+def test_non_finite_arguments_raise_domain_error(r, x):
+    with pytest.raises(DomainError):
+        scaled_bessel_j_imag(r, x)
+    with pytest.raises(DomainError):
+        scaled_bessel_j_imag_grid(np.array([2.0, r]), x)
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,11 +2,14 @@
 
 There is no linter in the test environment, so this AST scan keeps unused
 imports from coming back. A name counts as read when the module loads it
-anywhere or lists it in __all__ (the package's re-exports).
+anywhere or lists it in __all__ (the package's re-exports). The last test
+checks that the runtime path needs no test-only dependency (mpmath).
 """
 
 import ast
 from pathlib import Path
+
+from pinned_blas import run_pinned
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,3 +96,10 @@ def test_no_unread_private_module_names():
                 continue
             unread.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
     assert not unread, unread
+
+
+def test_runtime_path_runs_without_mpmath():
+    # mpmath is a test oracle only: the transition-band Bessel nodes of the
+    # (5, 7) Gaussian grid and its geometric side run with it blocked
+    script = ROOT / "tests" / "runtime_without_mpmath.py"
+    assert "without mpmath" in run_pinned(script.read_text(encoding="utf-8"))

@@ -24,7 +24,7 @@ from maassdensity.kuznetsov import (
     weight_log_conductor,
     weight_spectral,
 )
-from maassdensity.maassdata import parse_records_text
+from maassdensity.maassdata import _KIM_SARNAK, parse_records_text
 
 SAMPLE = parse_records_text(
     """# normalization: hecke-unit
@@ -139,6 +139,21 @@ def test_spectral_side_weighted_sum_oracle():
     got, tail = spectral_side(2, 1, w, SAMPLE)
     assert got == pytest.approx(acc, rel=1e-12)
     assert tail >= 0.0
+
+
+def test_spectral_tail_follows_weyls_law():
+    # N(t) = t^2/12 + O(t log t) for SL_2(Z): density t/6, whatever the
+    # number of records; a count fitted to three records up to t = 13.78
+    # (a = 3/13.78^2 = 0.016 against 1/12) gave a smaller tail
+    w = weight_gaussian(11.0, 2.0)
+    _, tail = spectral_side(2, 3, w, SAMPLE)
+    t_max = SAMPLE[-1].t
+    grid = np.linspace(t_max, w.r_cut() + t_max + 1.0, 2000)
+    lam_cap = 4.0 * 6.0 ** _KIM_SARNAK
+    absh = np.abs(w.eval(grid))
+    assert tail == lam_cap * float(np.trapezoid(absh * (grid / 6.0), grid))
+    fitted = 2.0 * len(SAMPLE) / t_max ** 2 * grid
+    assert tail >= lam_cap * float(np.trapezoid(absh * fitted, grid)) > 0.0
 
 
 def test_verify_trace_identity_without_data_reports_flags():
