@@ -322,9 +322,10 @@ def _series_batch(r: np.ndarray, x: float):
     """Power series of J_{2ir}(x)/cosh(pi r) over an array of r >= 0.
 
     Kahan-compensated, from the log-scaled leading term; a node stops after
-    40 terms in a row below 1e-18 of its largest. Returns (values, error
-    estimates); an estimate is rounding noise at the largest term, and the
-    caller decides whether that is acceptable.
+    40 terms in a row below 1e-18 of its largest, or with estimate inf once
+    a term overflows. Returns (values, error estimates); an estimate is
+    rounding noise at the largest term, and the caller decides whether that
+    is acceptable.
     """
     val = np.empty(r.size, dtype=complex)
     err = np.empty(r.size)
@@ -345,14 +346,15 @@ def _series_batch(r: np.ndarray, x: float):
         n += 1
         d_re, d_im = _c_prod(n, 0.0, n + nu_re, 0.0 + nu_im)
         f_re, f_im = _c_quot(q, 0.0, d_re, d_im)
-        t_re, t_im = _c_prod(t_re, t_im, f_re, f_im)
-        # Kahan-compensated acc += term
-        y_re = t_re - cp_re
-        y_im = t_im - cp_im
-        s_re = acc_re + y_re
-        s_im = acc_im + y_im
-        cp_re = (s_re - acc_re) - y_re
-        cp_im = (s_im - acc_im) - y_im
+        with np.errstate(over="ignore", invalid="ignore"):  # see `lost`
+            t_re, t_im = _c_prod(t_re, t_im, f_re, f_im)
+            # Kahan-compensated acc += term
+            y_re = t_re - cp_re
+            y_im = t_im - cp_im
+            s_re = acc_re + y_re
+            s_im = acc_im + y_im
+            cp_re = (s_re - acc_re) - y_re
+            cp_im = (s_im - acc_im) - y_im
         acc_re, acc_im = s_re, s_im
         # mag = abs(term). np.hypot is within a few ulp of libm's hypot, so
         # only comparisons it cannot settle by a 1e-12 margin ask libm.
@@ -368,6 +370,12 @@ def _series_batch(r: np.ndarray, x: float):
             mag[tie] = _c_abs(t_re[tie], t_im[tie])
         quiet = np.where(mag < thr, quiet + 1, 0)
         done = quiet >= _SERIES_QUIET_RUN
+        if x > 700.0:
+            # a term that overflowed never turns quiet; it leaves with
+            # estimate inf. Below, terms and sums stay under I_0(x) < e^x.
+            lost = ~np.isfinite(mag)
+            max_mag[lost] = math.inf
+            done |= lost
         if done.any():
             val.real[pos[done]] = acc_re[done]
             val.imag[pos[done]] = acc_im[done]
@@ -552,6 +560,8 @@ def _series_t0(r: np.ndarray, x: float):
     rel = 4 2^-52 (1 + |2r log(x/2)| + size of log Gamma + log cosh) bounds
     the relative rounding of t_0 and of one product with it; `size` sums the
     moduli of the parts log Gamma is built from (`_log_gamma_stirling`).
+    The double-double route's D_J pins hold these bits. The term grows with
+    r, so the fixed-point route takes the sharper `_fixed_t0`.
     """
     lg_re, lg_im, lg_size = _log_gamma_stirling(np.ones(r.size), 2.0 * r)
     lc = np.fromiter(map(log_cosh, map(float, math.pi * r)), float, count=r.size)
@@ -634,9 +644,103 @@ def _series_dd_batch(r: np.ndarray, x: float, target: np.ndarray):
 # the transition band), exact integers at a fixed binary point sum it at any
 # precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, ch. 1 and
 # 4). The terms grow to at most I_0(x) < e^x before they decay, so
-# P = 124 + floor(x / ln 2) keeps 124 bits below the largest.
+# P = 124 + floor(x / ln 2) keeps 124 bits below the largest. Its t_0 takes
+# the phase's large part at the binary point 2^-128 too, so neither the sum
+# nor t_0 loses bits as r and x grow.
 
 _FIXED_GUARD_BITS = 124
+_PHASE_BITS = 128
+
+
+def _inverse_series(k: int, q: int, alternate: bool) -> int:
+    """atan(1/k) (alternate) or atanh(1/k) at the binary point 2^-q, for an
+    integer k >= 2, within j + 1 units for j terms."""
+    power, total, j = (1 << q) // k, 0, 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if alternate and j % 2 else term
+        power //= k * k
+        j += 1
+    return total
+
+
+_LN2_FIXED = 2 * _inverse_series(3, _PHASE_BITS + 16, False) >> 16
+# Machin: pi = 16 atan(1/5) - 4 atan(1/239)
+_TWO_PI_FIXED = (32 * _inverse_series(5, _PHASE_BITS + 16, True)
+                 - 8 * _inverse_series(239, _PHASE_BITS + 16, True)) >> 16
+
+
+def _fixed_log(num: int, den: int) -> int:
+    """ln(num / den) at the binary point 2^-128 for integers num, den > 0.
+
+    num / den = 2^k f with f in [1/sqrt 2, sqrt 2], and ln f = 2 atanh(u),
+    u = (f - 1)/(f + 1), |u| <= 0.172: about 26 terms, each exact integer
+    arithmetic and one floor.
+    """
+    k = num.bit_length() - den.bit_length()
+    a, b = (num, den << k) if k >= 0 else (num << -k, den)
+    if a * a > 2 * b * b:
+        b, k = b << 1, k + 1
+    elif 2 * a * a < b * b:
+        a, k = a << 1, k - 1
+    d, s = abs(a - b), a + b
+    power, total, j = (d << _PHASE_BITS) // s, 0, 0
+    while power:
+        total += power // (2 * j + 1)
+        power = power * d * d // (s * s)
+        j += 1
+    return k * _LN2_FIXED + (2 * total if a >= b else -2 * total)
+
+
+def _fixed_phase(y: float, x: float) -> tuple:
+    """arg t_0 = y log(x/2) - Im log Gamma(1 + iy) mod 2 pi for y = 2r >= 0:
+    (phase, size), where 4 2^-52 (1 + 2 pi + size) bounds its rounding.
+
+    With w = m + iy, m the least positive integer with |w| >= 15, Stirling
+    (as in `_log_gamma_stirling`) gives
+        arg t_0 = [y log(x / (2|w|)) + y] - (m - 1/2) arg w - Im h(w)
+                  + sum_{j < m} arg(j + iy),  h(w) = sum_k c_k w^(1 - 2k).
+    The bracket grows with y; it is summed at the binary point 2^-128 from
+    the exact dyadics x and y and reduced mod 2 pi there. The other parts
+    stay below 45 in size and are summed in binary64.
+    """
+    m = 1
+    while m * m + y * y < _STIRLING_MIN_ABS ** 2:
+        m += 1
+    bx, dx = x.as_integer_ratio()
+    by, dy = y.as_integer_ratio()
+    # x^2 / (4 |w|^2) = bx^2 dy^2 / (4 dx^2 (m^2 dy^2 + by^2))
+    log_ratio = _fixed_log(bx * bx * dy * dy, 4 * dx * dx * (m * m * dy * dy + by * by))
+    big = ((by * log_ratio) // (2 * dy) + (by << _PHASE_BITS) // dy) % _TWO_PI_FIXED
+    w = complex(m, y)
+    iw = 1.0 / w
+    iw2 = iw * iw
+    h = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        h = h * iw2 + c
+    h *= iw
+    arg_w = cmath.phase(w)
+    shifts = math.fsum(math.atan2(y, j) for j in range(1, m))
+    small = (shifts - (m - 0.5) * arg_w) - h.imag
+    phase = big / (1 << _PHASE_BITS) + small
+    return phase, shifts + (m - 0.5) * arg_w + abs(h)
+
+
+def _fixed_t0(r: np.ndarray, x: float):
+    """t_0 of the series for r >= 0 (see `_series_t0`) for the fixed-point
+    route: (re, im, rel), rel bounding the relative rounding of t_0 and of
+    one product with it.
+
+    |t_0| = sqrt(tanh(pi r) / (pi r)), because |Gamma(1 + 2ir)|^2 =
+    2 pi r / sinh(2 pi r); the phase is `_fixed_phase`. Neither rounds by
+    more than a few dozen units of 2^-52, whatever r and x.
+    """
+    z = math.pi * r
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mod = np.where(z > 1e-150, np.sqrt(np.tanh(z) / z), 1.0)
+    phase, size = np.array([_fixed_phase(y, x) for y in (2.0 * r).tolist()]).reshape(-1, 2).T
+    rel = (4.0 * _F64_EPS) * ((4.0 + 2.0 * math.pi) + size)
+    return mod * np.cos(phase), mod * np.sin(phase), rel
 
 
 def _series_fixed_batch(r: np.ndarray, x: float):
@@ -644,27 +748,27 @@ def _series_fixed_batch(r: np.ndarray, x: float):
     integers at the fixed binary point 2^-P, P = 124 + floor(x / ln 2).
 
     Sums the series of `_series_dd_batch`, s_0 = 1 and s_n = s_{n-1} q /
-    (n (n + 2ir)), q = -x^2/4, and multiplies the sum in binary64 by the same
-    t_0 (`_series_t0`). With x = B 2^-k and 2r = A 2^-D (one D for the
-    batch) a step is
+    (n (n + 2ir)), q = -x^2/4, and multiplies the sum in binary64 by t_0
+    from `_fixed_t0`. With x = B 2^-k and 2r = A 2^-D (one D for the batch)
+    a step is
         S_n = floor(S_{n-1} K (n 2^D - iA) / (n (n^2 2^2D + A^2) 2^L)),
     K = -B^2 2^max(h, 0), L = max(-h, 0), h = D - 2k - 2: exact integer
     arithmetic and one floor per part, whose rational does not depend on D.
     The floors leave E_n = |rho_n| E_{n-1} + sqrt(2) units of 2^-P in S_n,
-    |rho_n| = (x^2/4) / (n |n + 2ir|), computed alongside in binary64. A node
+    |rho_n| = (x^2/4) / (n |n + 2ir|), computed alongside in binary64 as
+    log2 E_n, which does not overflow where E_n does (x > 700). A node
     stops once 2n^2 >= x^2 (later ratios are at most 1/2, so the dropped
-    tail is at most |s_n|) and its term is below its running sum of E.
-    Returns (values, error estimates): 2^-P (sum E + tail) |t_0| plus
-    `_series_t0`'s rounding term. P depends on x alone and each node stops
-    on its own rule, so a node's bits do not depend on the batch it is in.
-    The binary64 t_0 bounds the reach: from x = 200 on, its rounding term
-    alone can pass the target once r exceeds about 315.
+    tail is at most |s_n|) and its term is below 2^bits <= its running sum
+    of E, bits = the term's bit length. Returns (values, error estimates):
+    2^-P (sum E + tail) |t_0| plus `_fixed_t0`'s rounding term. P depends
+    on x alone and each node stops on its own rule, so a node's bits do not
+    depend on the batch it is in.
     """
     val = np.empty(r.size, dtype=complex)
     err = np.empty(r.size)
     if r.size == 0:
         return val, err
-    t0_re, t0_im, t0_rel = _series_t0(r, x)
+    t0_re, t0_im, t0_rel = _fixed_t0(r, x)
     prec = _FIXED_GUARD_BITS + math.floor(x / math.log(2.0))
     b, two_k = x.as_integer_ratio()
     ratios = [v.as_integer_ratio() for v in (2.0 * r).tolist()]
@@ -679,9 +783,9 @@ def _series_fixed_batch(r: np.ndarray, x: float):
     s_im = np.zeros(r.size, dtype=object)
     acc_re, acc_im = s_re.copy(), s_im.copy()
     two_r = 2.0 * r
-    q_abs = 0.25 * x * x
-    e = np.zeros(r.size)
-    e_sum = np.zeros(r.size)
+    log_q = 2.0 * math.log2(x) - 2.0  # log2(x^2/4)
+    log_e = np.full(r.size, -math.inf)
+    log_e_sum = np.full(r.size, -math.inf)
     pos = np.arange(r.size)
     n = 0
     while pos.size:
@@ -694,24 +798,27 @@ def _series_fixed_batch(r: np.ndarray, x: float):
         s_re, s_im = (s_re * kn + s_im * ka) // den, (s_im * kn - s_re * ka) // den
         acc_re += s_re
         acc_im += s_im
-        with np.errstate(over="ignore"):
-            e = q_abs / (fn * np.sqrt(fn * fn + two_r * two_r)) * e + math.sqrt(2.0)
-        e_sum += e
+        log_rho = (log_q - math.log2(fn)) - 0.5 * np.log2(fn * fn + two_r * two_r)
+        log_e = np.logaddexp2(log_rho + log_e, 0.5)
+        log_e_sum = np.logaddexp2(log_e_sum, log_e)
         if 2.0 * fn * fn < x * x:
             continue
         mag = np.abs(s_re) + np.abs(s_im)
-        done = mag < e_sum
+        done = np.fromiter((m.bit_length() for m in mag), float, count=mag.size) <= log_e_sum
         if done.any():
             i = pos[done]
             v_re, v_im = _c_prod((acc_re[done] / unit).astype(float),
                                  (acc_im[done] / unit).astype(float), t0_re[i], t0_im[i])
             val[i] = _complex(v_re, v_im)
-            tail = mag[done].astype(float) + e[done]
-            err[i] = (np.ldexp(e_sum[done] + tail, -prec) * (np.abs(t0_re[i]) + np.abs(t0_im[i]))
+            log_tail = np.logaddexp2(
+                log_e[done], [math.log2(m) if m else -math.inf for m in mag[done]])
+            err[i] = (np.exp2(np.logaddexp2(log_e_sum[done], log_tail) - prec)
+                      * (np.abs(t0_re[i]) + np.abs(t0_im[i]))
                       + t0_rel[i] * (np.abs(v_re) + np.abs(v_im)))
             keep = ~done
-            pos, ka, a2, two_r, s_re, s_im, acc_re, acc_im, e, e_sum = (
-                v[keep] for v in (pos, ka, a2, two_r, s_re, s_im, acc_re, acc_im, e, e_sum))
+            pos, ka, a2, two_r, s_re, s_im, acc_re, acc_im, log_e, log_e_sum = (
+                v[keep] for v in (pos, ka, a2, two_r, s_re, s_im, acc_re, acc_im,
+                                  log_e, log_e_sum))
     return val, err
 
 

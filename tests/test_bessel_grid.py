@@ -188,18 +188,34 @@ def test_double_double_route_against_mpmath(x, frac):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    x=st.floats(36.0, 200.0, exclude_min=True),
-    band=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    x=st.floats(36.0, 400.0, exclude_min=True),
+    band=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
     low=st.lists(st.floats(0.0, 0.125, exclude_max=True), min_size=1, max_size=3),
 )
 def test_fixed_point_route_against_mpmath(x, band, low):
-    # the transition band (r from x/20 to x) and r below x/8, where the
-    # series cancels most (by up to e^x)
+    # the transition band (r from x/20 to 1.5x) and r below x/8, where the
+    # series cancels most (by up to e^x); from x = 200 on, r above 315 needs
+    # t_0's phase beyond binary64
     r = np.sort(np.array(band + low) * x)
     target = 1e-11 * np.array([sf._scale_estimate(v, x) for v in r])
     val, est = sf._series_fixed_batch(r, x)
     for i in range(r.size):
         assert abs(val[i] - _mp_reference(r[i], x)) <= est[i] <= target[i]
+
+
+@pytest.mark.parametrize("x,r", [
+    (200.0, np.linspace(0.0, 450.0, 401)),
+    # E_n passes binary64 from x = 710 on; its log2 does not
+    (720.0, np.array([0.0, 30.0, 360.0, 1000.0])),
+    # the binary64 series overflows on r = 100; it hands the node on
+    (1000.0, np.array([0.0, 100.0, 500.0, 1000.0])),
+])
+def test_transition_band_is_served_at_large_x(x, r):
+    with _routes() as counts:
+        val = scaled_bessel_j_imag_grid(r, x)
+    assert counts[-1]["fixed_point"] > 0
+    for i in range(0, r.size, 25):
+        assert abs(val[i] - _mp_reference(r[i], x)) <= 1e-11 * sf._scale_estimate(r[i], x)
 
 
 def test_fixed_point_route_bits_do_not_depend_on_the_batch():
