@@ -5,8 +5,9 @@
 the Poisson-summation sums S_J, A_g, B_g, and empirical scans of the bounds
 they satisfy. The residue route's constants are derived by contour shifting
 and then pinned against direct quadrature before any scan may use them.
-Its integer-order J_n come from one batched Miller recurrence (j_rows),
-whose rows keep their bits in any batch.
+Its integer-order J_n come from one batched Miller recurrence
+(_miller_blocks, with j_rows its row view), whose rows keep their bits in
+any batch.
 
 Every entry point takes the weight family as an argument; None means
 weights.default_family().
@@ -338,13 +339,17 @@ def _miller_start(x, nmax):
     return start
 
 
-# Cap on the recurrence state of one batch of rows in j_rows, and on the
-# Miller rows of one ResidueEvaluator.values chunk.
-_BLOCK_BYTES = 16 * 2 ** 20
+# Cap on the whole state of one Miller block: its recurrence rows and one
+# slab of 2n/x coefficients. ResidueEvaluator.values reads each block in
+# place and holds no second copy, so this bounds its working set too.
+_BLOCK_BYTES = 8 * 2 ** 20
+# Orders per slab of 2n/x coefficients: one division call per _SLAB steps.
+_SLAB = 16
 
 
-def _j_block(x, nmax, starts, width):
-    """J_0..J_nmax_i at a batch of x_i > 0: zero-padded rows of length width.
+def _j_block(x, nmax, starts):
+    """J_0..J_nmax_i at a batch of x_i > 0, as an (orders x rows) block:
+    column i holds row i's J_n, zero past nmax_i, in max(nmax) + 1 orders.
 
     Downward (Miller) recurrence from jp = 0, jc = 1e-200 at each row's
     start order, Neumann-normalized by J_0 + 2 sum J_2k = 1. The start order
@@ -355,14 +360,15 @@ def _j_block(x, nmax, starts, width):
     bits do not depend on the other rows. Rows must come in descending
     start order. h[nn] holds J~_nn of every row, the recurrence state
     included; a row that has not started yet holds zeros, which the
-    recurrence keeps at zero.
+    recurrence keeps at zero. The coefficients (2.0 n)/x_i are computed
+    _SLAB orders at a time.
     """
     b = x.size
     starts = starts.tolist()
     s0 = starts[0]
-    h = np.zeros((max(s0 + 2, width), b))
-    coef = (2.0 * np.arange(s0 + 1, dtype=float))[:, None] / x[None, :]
-    rows, coefs = list(h), list(coef)
+    h = np.zeros((s0 + 2, b))  # start >= nmax + 40: h covers every order
+    slab = np.empty((_SLAB, b))
+    rows, coefs = list(h), list(slab)
     x_min = np.minimum.accumulate(x).tolist()
     neumann = np.zeros(b)
     t = np.empty(b)
@@ -376,8 +382,13 @@ def _j_block(x, nmax, starts, width):
             top = None if top is None else max(top, 1e-200)
             x_k = x_min[k]
             k += 1
+        i = (s0 - n) % _SLAB
+        if i == 0:  # refill: coefs[i] serves the step at order n - i
+            m = min(_SLAB, n)
+            np.divide(2.0 * np.arange(n, n - m, -1, dtype=float)[:, None], x,
+                      out=slab[:m])
         jc = rows[n - 1]
-        np.multiply(coefs[n], rows[n], out=t)
+        np.multiply(coefs[i], rows[n], out=t)
         np.subtract(t, rows[n + 1], out=jc)
         if n % 2 == 1:  # starts are even, so nn = n - 1 is even here
             if n == 1:
@@ -396,18 +407,58 @@ def _j_block(x, nmax, starts, width):
         peak = np.abs(jc, out=t).max()
         if peak > 1e250:
             big = np.nonzero(t > 1e250)[0]
-            # rescale jc, jp and the stored J_0..J_nmax of those rows
-            h[n - 1 : max(n + 1, int(nmax[big].max()) + 1), big] *= 1e-250
+            # rescale jc, jp and the stored J_0..J_nmax of those rows, one
+            # column view at a time (indexing by big would copy the rows)
+            hi = max(n + 1, int(nmax[big].max()) + 1)
+            for j in big.tolist():
+                h[n - 1 : hi, j] *= 1e-250
             neumann[big] *= 1e-250
             peak = np.abs(jc, out=t).max()
         bound = max(peak, prev if top is None else top)
         top = peak
-    out = h[:width]
+    out = h[: int(nmax.max()) + 1]
     # a row with neumann == 0 stays unnormalized
     out *= np.divide(1.0, neumann, out=np.ones(b), where=neumann != 0.0)
     for i, last in enumerate(nmax.tolist()):
         out[last + 1 :, i] = 0.0
-    return out.T
+    return out
+
+
+def _miller_blocks(ax, nmax):
+    """The one Miller core: (idx, block) pairs that cover every index of
+    the finite ax >= 0, with block[n, j] = J_n(ax[idx[j]]) for
+    n <= nmax[idx[j]] and zero past it, in max(nmax[idx]) + 1 orders.
+
+    Rows with x < 1e-10 take the closed form [1, x/2, 0, ...]. The others
+    run through _j_block in descending start order, in blocks of
+    _BLOCK_BYTES // (8 (start + 2 + _SLAB)) rows, start being that of the
+    block's first, widest row, so a block's whole state stays under
+    _BLOCK_BYTES. A consumer that drops each block before it asks for the
+    next one holds one block at a time.
+    """
+    tiny = ax < 1e-10
+    full = np.nonzero(~tiny)[0]
+    starts = np.array(
+        [_miller_start(float(x), int(n)) for x, n in zip(ax[full], nmax[full])],
+        dtype=np.int64,
+    )
+    order = np.argsort(-starts, kind="stable")
+    full, starts = full[order], starts[order]
+    lo = 0
+    while lo < full.size:
+        step = max(1, _BLOCK_BYTES // (8 * (int(starts[lo]) + 2 + _SLAB)))
+        idx = full[lo : lo + step]
+        yield idx, _j_block(ax[idx], nmax[idx], starts[lo : lo + step])
+        lo += step
+    tiny = np.nonzero(tiny)[0]
+    step = max(1, _BLOCK_BYTES // (8 * (int(nmax[tiny].max(initial=0)) + 1)))
+    for lo in range(0, tiny.size, step):
+        idx = tiny[lo : lo + step]
+        block = np.zeros((int(nmax[idx].max()) + 1, idx.size))
+        block[0] = 1.0
+        if block.shape[0] > 1:
+            block[1] = np.where(nmax[idx] >= 1, ax[idx] / 2.0, 0.0)
+        yield idx, block
 
 
 def j_rows(xs, nmax) -> np.ndarray:
@@ -415,33 +466,19 @@ def j_rows(xs, nmax) -> np.ndarray:
 
     nmax is one order for every row or one per row; |x_i| < 1e-10 gives
     [1, |x_i|/2, 0, ...], and negative x_i flip the odd orders. Row i is the
-    same bits in any batch. The recurrence runs on batches of rows whose
-    state stays under 16 MB.
+    same bits in any batch. The rows are the transposed columns of the
+    Miller blocks (_miller_blocks). Raises DomainError for a non-finite x_i
+    or a negative order, before any recurrence runs.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     nmax = np.broadcast_to(np.asarray(nmax, dtype=np.int64), xs.shape)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("j_rows requires finite x")
     if np.any(nmax < 0):
-        raise ValueError("nmax must be >= 0")
-    width = int(nmax.max()) + 1 if xs.size else 1
-    out = np.zeros((xs.size, width))
-    ax = np.abs(xs)
-    tiny = ax < 1e-10
-    out[tiny, 0] = 1.0
-    if width > 1:
-        half = tiny & (nmax >= 1)
-        out[half, 1] = ax[half] / 2.0
-    full = np.nonzero(~tiny)[0]
-    starts = np.array([_miller_start(float(ax[i]), int(nmax[i])) for i in full],
-                      dtype=np.int64)
-    order = np.argsort(-starts, kind="stable")
-    full, starts = full[order], starts[order]
-    lo = 0
-    while lo < full.size:
-        # h and coef hold at most 2 max(start + 2, width) doubles per row
-        step = max(1, _BLOCK_BYTES // (16 * max(int(starts[lo]) + 2, width)))
-        idx = full[lo : lo + step]
-        out[idx] = _j_block(ax[idx], nmax[idx], starts[lo : lo + step], width)
-        lo += step
+        raise DomainError("nmax must be >= 0")
+    out = np.zeros((xs.size, int(nmax.max(initial=0)) + 1))
+    for idx, block in _miller_blocks(np.abs(xs), nmax):
+        out[idx, : block.shape[0]] = block.T
     out[xs < 0, 1::2] *= -1.0
     return out
 
@@ -490,15 +527,16 @@ class ResidueEvaluator:
         return complex(self.values([X])[0])
 
     def values(self, X) -> np.ndarray:
-        """D_J at every X of an array (0 where X <= 0), from batches of
+        """D_J at every X of an array (0 where X <= 0), from blocks of
         Miller rows.
 
         Each row is summed in a fixed order of its own (the per-row dot,
         then the w2 terms in sequence), so a value does not depend on the
         batch it is in: at large X the residue sum cancels heavily, and a
         reordered sum would move D_J far beyond rounding of the result.
-        The X run in descending order, in chunks whose Miller rows stay
-        under the recurrence's block size, so memory is bounded for any
+        The X go through the Miller core (_miller_blocks) with their
+        first-family orders; each block is read in place and dropped before
+        the next one is built, so memory stays near _BLOCK_BYTES for any
         number of X. The weight vectors grow to the largest X. Raises
         DomainError for a non-finite X.
         """
@@ -507,34 +545,32 @@ class ResidueEvaluator:
             raise DomainError("ResidueEvaluator requires finite X")
         out = np.zeros(X.size, dtype=complex)
         live = np.nonzero(X > 0.0)[0]
-        live = live[np.argsort(-X[live], kind="stable")]
         k_loc = np.array([_k_max(x) for x in X[live].tolist()], dtype=np.int64)
-        if k_loc.size and k_loc[0] > self.k_cap:
-            self._size(int(k_loc[0]))
-        lo = 0
-        while lo < live.size:
-            # k_loc falls with X: the chunk's first row is its widest
-            step = max(1, _BLOCK_BYTES // (8 * (2 * int(k_loc[lo]) + 2)))
-            idx = live[lo : lo + step]
-            out[idx] = self._chunk(X[idx], k_loc[lo : lo + step])
-            lo += step
+        if k_loc.size and k_loc.max() > self.k_cap:
+            self._size(int(k_loc.max()))
+        for idx, block in _miller_blocks(X[live], 2 * k_loc + 1):
+            out[live[idx]] = self._chunk(block, k_loc[idx])
+            del block  # free it before the core builds the next one
         return out
 
-    def _chunk(self, xs: np.ndarray, k_loc: np.ndarray) -> np.ndarray:
-        """D_J at xs > 0 with first-family cutoffs k_loc, from one j_rows call."""
+    def _chunk(self, block: np.ndarray, k_loc: np.ndarray) -> np.ndarray:
+        """D_J at the columns of one Miller block, column j at first-family
+        cutoff k_loc[j], read in place: the w2 terms from whole order rows,
+        the first family from each column's odd orders."""
         n_loc = 2 * k_loc + 1
-        jv = j_rows(xs, n_loc)
-        second = np.zeros(xs.size)
+        second = np.zeros(k_loc.size)
         for i in range(self._w2.size):
             n = 2 * (i + 1) * self.T
             rows = n <= n_loc
             if not rows.any():
                 break
-            np.add(second, self._w2[i] * jv[:, n], out=second, where=rows)
+            np.add(second, self._w2[i] * block[n], out=second, where=rows)
         c2 = _C2_TIMES_SIGN * (self.T * self.T)
-        out = np.empty(xs.size, dtype=complex)
-        for j, (k, row) in enumerate(zip(k_loc.tolist(), jv)):
-            dot = np.dot(self._signed_w1[: k + 1], row[1 : 2 * k + 2 : 2])
+        out = np.empty(k_loc.size, dtype=complex)
+        for j, k in enumerate(k_loc.tolist()):
+            # BLAS sums a strided ddot in one order for any stride but 1, so
+            # this column slice (stride 2 rows) has the bits of a stride-2 row
+            dot = np.dot(self._signed_w1[: k + 1], block[1 : 2 * k + 2 : 2, j])
             out[j] = _C1 * (2.0 * self.T * float(dot)) + c2 * second[j]
         return out
 

@@ -3,7 +3,9 @@ batch independence.
 
 Miller rows (`besseltransform.j_rows`) are checked against
 scipy.special.jv, and `ResidueEvaluator.values` against `_residue_value`,
-which sums the residue series in another order. The scalar callers
+which sums the residue series in another order, and bit for bit against
+its former row layout (`j_rows`, then a dot per row); its memory stays near
+one Miller block. The scalar callers
 (`j_rows([x], n)[0]` in the S_J and residue sums, and
 `ResidueEvaluator.value`) are one-element calls of the batch functions (each
 call costs milliseconds; pass many points to the batch), so the bit-for-bit
@@ -17,20 +19,25 @@ give the bits of one-m fills and separate reports.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
 from maassdensity import arithmetic, besseltransform, kuznetsov
-from maassdensity.arithmetic import kloosterman_sum, kloosterman_sums
+from maassdensity.arithmetic import kloosterman_sum, kloosterman_sums, primes_up_to
 from maassdensity.besseltransform import (
     _BLOCK_BYTES,
+    _C1,
+    _C2_TIMES_SIGN,
+    _SLAB,
     ResidueEvaluator,
     _first_family_terms,
     _k_max,
+    _miller_start,
     _residue_value,
     j_rows,
 )
@@ -39,6 +46,7 @@ from maassdensity.density import (
     convergence_scan,
     explicit_formula_average,
 )
+from maassdensity.errors import DomainError
 from maassdensity.rmt import make_test_function
 from maassdensity.weights import default_family
 
@@ -101,8 +109,6 @@ def test_j_rows_against_scipy(rows):
 
 def test_j_rows_bit_identical_across_blocks(monkeypatch):
     # blocks of a few rows each: later blocks start lower than the widest row
-    # (the patch would also shrink ResidueEvaluator.values' chunks, which read
-    # the same constant; no evaluator runs here)
     monkeypatch.setattr(besseltransform, "_BLOCK_BYTES", 40_000)
     xs = np.array([200.0, 0.3, 35.0, 90.0, 1.5, 120.0, 7.0, 0.02])
     nmax = np.array([800, 3, 120, 60, 500, 400, 9, 2])
@@ -120,6 +126,16 @@ def test_j_rows_edge_arguments_match_one_row_calls():
     assert j_rows(np.zeros(0), 5).shape == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "xs,nmax",
+    [([math.inf], 5), ([1.0, -math.inf], 5), ([math.nan], 5), ([1.0], -1),
+     ([2.0, 3.0], [4, -2])],
+)
+def test_j_rows_rejects_bad_input(xs, nmax):
+    with pytest.raises(DomainError):
+        j_rows(xs, nmax)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
@@ -131,6 +147,8 @@ def test_j_rows_edge_arguments_match_one_row_calls():
         max_size=8,
     )
 )
+@example([1.0, 2.2e-309])
+@example([1e-12, 230.0, -0.0, 5e-324, 0.0])
 def test_residue_values_bit_identical_to_value(xs):
     ev = _evaluator()
     got = ev.values(np.array(xs))
@@ -152,13 +170,85 @@ def test_residue_values_chunked_like_its_slices():
     ev = _evaluator()
     xs = np.random.default_rng(7).uniform(-5.0, 230.0, 5000)
     xs[:3] = (0.0, 230.0, -0.0)
-    # a chunk holds at least as many rows as the first, widest one
-    first_chunk = _BLOCK_BYTES // (8 * (2 * _k_max(230.0) + 2))
+    # the first Miller block, of the widest row, holds the fewest rows
+    start = _miller_start(230.0, 2 * _k_max(230.0) + 1)
+    first_chunk = _BLOCK_BYTES // (8 * (start + 2 + _SLAB))
     assert np.count_nonzero(xs > 0.0) > 2 * first_chunk
     whole = ev.values(xs)
     parts = np.concatenate([ev.values(xs[lo : lo + 700]) for lo in range(0, 5000, 700)])
     assert np.array_equal(_bits(whole), _bits(parts))
     assert not np.any(whole[xs <= 0.0])
+
+
+def _values_by_rows(ev, xs):
+    """`values` as it summed before it read its Miller blocks in place: one
+    j_rows call, then the w2 terms and the dot of each row."""
+    out = np.zeros(xs.size, dtype=complex)
+    live = np.nonzero(xs > 0.0)[0]
+    k_loc = np.array([_k_max(x) for x in xs[live].tolist()], dtype=np.int64)
+    n_loc = 2 * k_loc + 1
+    jv = j_rows(xs[live], n_loc)
+    second = np.zeros(live.size)
+    for i in range(ev._w2.size):
+        n = 2 * (i + 1) * ev.T
+        rows = n <= n_loc
+        if not rows.any():
+            break
+        np.add(second, ev._w2[i] * jv[:, n], out=second, where=rows)
+    c2 = _C2_TIMES_SIGN * (ev.T * ev.T)
+    for j, (k, row) in enumerate(zip(k_loc.tolist(), jv)):
+        dot = np.dot(ev._signed_w1[: k + 1], row[1 : 2 * k + 2 : 2])
+        out[live[j]] = _C1 * (2.0 * ev.T * float(dot)) + c2 * second[j]
+    return out
+
+
+@pytest.mark.parametrize("block_bytes", [None, 100_000])
+def test_residue_values_bit_identical_to_row_sums(monkeypatch, block_bytes):
+    # 100 kB blocks hold 9 rows near X = 230: the set spans about 35 of them
+    ev = _evaluator()
+    xs = np.random.default_rng(19).uniform(-5.0, 230.0, 300)
+    xs[:9] = (0.0, -0.0, -3.0, 1e-12, 2.2e-309, 5e-11, 1e-10, 230.0, 229.99)
+    want = _values_by_rows(ev, xs)
+    if block_bytes is not None:
+        monkeypatch.setattr(besseltransform, "_BLOCK_BYTES", block_bytes)
+    assert np.array_equal(_bits(ev.values(xs)), _bits(want))
+
+
+@pytest.mark.parametrize("rows", [2, 7, 782])
+def test_strided_dot_sums_in_one_order(rows):
+    # ResidueEvaluator._chunk dots the weights with a Miller block's column
+    # (stride 2 rows), where the row layout dotted a stride-2 row slice; the
+    # bits agree only while BLAS sums every stride but 1 in one order
+    rng = np.random.default_rng(rows)
+    for _ in range(100):
+        k = int(rng.integers(1, 800))
+        w = rng.standard_normal(k + 1) * np.exp(rng.uniform(-20.0, 20.0, k + 1))
+        row = rng.standard_normal(2 * k + 2) * np.exp(rng.uniform(-20.0, 20.0, 2 * k + 2))
+        block = rng.standard_normal((2 * k + 2, rows))
+        j = int(rng.integers(rows))
+        block[:, j] = row
+        got = np.dot(w, block[1 : 2 * k + 2 : 2, j])
+        assert _bits(got) == _bits(np.dot(w, row[1 : 2 * k + 2 : 2]))
+
+
+def test_residue_values_memory_stays_near_block_size():
+    # the T = 11 density fill: primes and prime squares below 400, c <= 150,
+    # S(m, 1; c) != 0 (12,813 X); the Miller block is values' only buffer
+    ps = primes_up_to(399).tolist()
+    ms = ps + [p * p for p in ps if p * p < 400]
+    s = kloosterman_sums(ms, 1, 150)
+    xs = np.concatenate(
+        [4.0 * math.pi * math.sqrt(m) / (np.nonzero(s_m)[0] + 1) for m, s_m in zip(ms, s)]
+    )
+    assert xs.size == 12_813
+    ev = ResidueEvaluator(default_family(), 11, 1.0)
+    tracemalloc.start()
+    try:
+        ev.values(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BLOCK_BYTES + 2 * 2 ** 20
 
 
 def test_residue_values_against_residue_value():
