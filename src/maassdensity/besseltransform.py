@@ -100,13 +100,17 @@ class ScanReport:
         return buf.getvalue()
 
 
-def _check_xt(X: float, T: int):
-    if not X > 0.0:
-        raise DomainError("X must be positive")
+def _check_t(T: int) -> int:
     T = int(T)
     if T < 3 or T % 2 == 0:
         raise DomainError("T must be an odd integer >= 3")
-    return float(X), T
+    return T
+
+
+def _check_xt(X: float, T: int):
+    if not X > 0.0:
+        raise DomainError("X must be positive")
+    return float(X), _check_t(T)
 
 
 # ----------------------------------------------------------------------------
@@ -239,6 +243,7 @@ def sj_direct(X: float, T: int, family: WeightFamily | None = None) -> float:
     """S_J(X) = T sum_k (-1)^k J_{2k+1}(X) x^2 h(x)/sin(pi x), x=(2k+1)/2T."""
     X = float(X)
     if X == 0.0:
+        _check_t(T)
         return 0.0
     X, T = _check_xt(X, T)
     terms, _tail = _first_family_terms(family or default_family(), X, T)
@@ -249,6 +254,7 @@ def sj_alpha_expansion(X: float, T: int, family: WeightFamily | None = None) -> 
     """The same sum through the Dirichlet-kernel expansion over |alpha| < T/2."""
     X = float(X)
     if X == 0.0:
+        _check_t(T)
         return 0.0
     X, T = _check_xt(X, T)
     if T > 101:
@@ -318,7 +324,7 @@ def dj_residue_sum(X: float, T: int, family: WeightFamily | None = None) -> DJRe
     """D_J by the residue expansion; constants verified against quadrature."""
     X = float(X)
     if X == 0.0:
-        return DJResult(value=0.0j, method="residue", X=0.0, T=int(T), error_estimate=0.0)
+        return DJResult(value=0.0j, method="residue", X=0.0, T=_check_t(T), error_estimate=0.0)
     X, T = _check_xt(X, T)
     family = family or default_family()
     _ensure_calibrated(family)

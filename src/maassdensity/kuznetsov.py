@@ -117,8 +117,8 @@ def weight_spectral(T: int, family: WeightFamily | None = None) -> AdmissibleWei
 
 def weight_gaussian(center: float, width: float) -> AdmissibleWeight:
     center, width = float(center), float(width)
-    if width <= 0.0 or center < 0.0:
-        raise DomainError("gaussian weight needs center >= 0 and width > 0")
+    if not (math.isfinite(center) and math.isfinite(width)) or width <= 0.0 or center < 0.0:
+        raise DomainError("gaussian weight needs a finite center >= 0 and width > 0")
     w = AdmissibleWeight(
         kind="gaussian",
         description=f"symmetrized gaussian c={center} w={width}",

@@ -9,9 +9,11 @@ of D_J the weighted sum cancels by a factor of 2e8 to 5e10, so one ulp of
 noise per node would move D_J past its 1e-10 pin.
 """
 
+import cmath
 import contextlib
 import logging
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -180,7 +182,7 @@ def test_grid_against_mpmath(r, x):
 def test_double_double_route_against_mpmath(x, frac):
     # the transition band: r from x/20 to x, around |2r| ~ x
     r = np.sort(np.array(frac) * x)
-    target = 1e-11 * np.array([sf._scale_estimate(v, x) for v in r])
+    target = 1e-11 * sf._scale_estimate(r, x)
     val, est = sf._series_dd_batch(r, x, target)
     for i in np.flatnonzero(est <= target):
         assert abs(val[i] - _mp_reference(r[i], x)) <= est[i]
@@ -197,7 +199,7 @@ def test_fixed_point_route_against_mpmath(x, band, low):
     # series cancels most (by up to e^x); from x = 200 on, r above 315 needs
     # t_0's phase beyond binary64
     r = np.sort(np.array(band + low) * x)
-    target = 1e-11 * np.array([sf._scale_estimate(v, x) for v in r])
+    target = 1e-11 * sf._scale_estimate(r, x)
     val, est = sf._series_fixed_batch(r, x)
     for i in range(r.size):
         assert abs(val[i] - _mp_reference(r[i], x)) <= est[i] <= target[i]
@@ -216,6 +218,39 @@ def test_transition_band_is_served_at_large_x(x, r):
     assert counts[-1]["fixed_point"] > 0
     for i in range(0, r.size, 25):
         assert abs(val[i] - _mp_reference(r[i], x)) <= 1e-11 * sf._scale_estimate(r[i], x)
+
+
+@pytest.mark.parametrize("x,r_over", [
+    (1018.0, 43.0), (1083.0, 43.5), (1400.0, 42.5), (1500.0, 51.0),
+])
+def test_grid_survives_a_series_term_whose_modulus_overflows(x, r_over):
+    # at (x, r_over) a binary64 series term has finite parts but a modulus
+    # past DBL_MAX (abs(complex) raised OverflowError there); the node
+    # leaves that route with estimate inf, and the next route serves it
+    r = np.array([0.0, 1.0, 50.0, 200.0, 0.45 * x, 0.5 * x, 0.55 * x, 600.0, r_over])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = scaled_bessel_j_imag_grid(r, x)
+    assert np.all(np.isfinite(val))
+    assert abs(val[-1] - _mp_reference(r_over, x)) <= 1e-11 * sf._scale_estimate(r_over, x)
+
+
+def test_numpy_hypot_is_abs_complex():
+    # _series_batch takes a term's modulus from np.hypot; its stopping rule
+    # keeps the bits of abs(complex) (libm's hypot) only while these agree
+    rng = np.random.default_rng(5)
+    re, im = rng.standard_normal((2, 200_000)) * np.exp(rng.uniform(-690.0, 690.0, (2, 200_000)))
+    want = np.array([abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())])
+    assert np.array_equal(np.hypot(re, im), want)
+
+
+def test_numpy_complex_exp_is_cmath_exp():
+    # the series' leading terms take np.exp of a complex array and keep the
+    # bits of cmath.exp only while these agree
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-760.0, 700.0, 200_000) + 1j * rng.uniform(-1e5, 1e5, 200_000)
+    want = np.array([cmath.exp(v) for v in z.tolist()])
+    _assert_bits_equal(np.exp(z), want)
 
 
 def test_fixed_point_route_bits_do_not_depend_on_the_batch():

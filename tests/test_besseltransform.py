@@ -54,6 +54,13 @@ def test_sj_vanishes_at_zero():
     assert bt.sj_alpha_expansion(0.0, 5) == 0.0
 
 
+@pytest.mark.parametrize("fn", [bt.dj_residue_sum, bt.sj_direct, bt.sj_alpha_expansion])
+def test_zero_x_still_checks_t(fn):
+    for T in (4, 2, -3):
+        with pytest.raises(DomainError):
+            fn(0.0, T)
+
+
 def test_alpha_expansion_cost_guard():
     with pytest.raises(DomainError):
         bt.sj_alpha_expansion(1.0, 103)

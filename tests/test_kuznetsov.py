@@ -40,8 +40,12 @@ t,parity,norm_sq,lambda_2,lambda_3
 def test_weight_constructors_validate():
     with pytest.raises(DomainError):
         weight_spectral(6)
-    with pytest.raises(DomainError):
-        weight_gaussian(3.0, -1.0)
+    # a non-finite center or width: geometric_side on such a weight raised a
+    # bare ValueError (nan center) or did not return (infinite width)
+    for center, width in ((3.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                          (3.0, math.inf), (3.0, math.nan)):
+        with pytest.raises(DomainError):
+            weight_gaussian(center, width)
     with pytest.raises(DomainError):
         weight_combination([])
 

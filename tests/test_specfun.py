@@ -101,6 +101,14 @@ def test_log_cosh_matches_direct_and_survives_large_argument():
     # direct cosh would overflow here
     y = 800.0
     assert abs(log_cosh(y) - (y - math.log(2.0))) < 1e-12
+    # elementwise over an array, each element as it is alone
+    y = np.array([0.0, 19.999, 20.0, 1e4, -1e4])
+    got = log_cosh(y)
+    assert got.shape == y.shape
+    for v, g in zip(y.tolist(), got.tolist()):
+        assert g == log_cosh(v)
+        want = math.log(math.cosh(v)) if abs(v) <= 20.0 else abs(v) - math.log(2.0)
+        assert abs(g - want) < 1e-14 * (1 + abs(v))
 
 
 # ---------------------------------------------------------------------------
