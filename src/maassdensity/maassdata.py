@@ -154,7 +154,7 @@ def _parse_json(text: str, source: str) -> list:
                 MaassFormRecord(
                     t=float(item["t"]),
                     parity=item["parity"],
-                    norm_sq=float(item.get("norm_sq", 1.0)),
+                    norm_sq=float(item["norm_sq"]),
                     lambdas={int(k): float(v) for k, v in item.get("lambdas", {}).items()},
                     source=source,
                 )

@@ -67,26 +67,20 @@ class TestFunction:
         return float(np.dot(w * a, bump(xi / self.eta)))
 
 
+# The largest cutoff _phi_tail_cutoff can return, 8 * 1.25^13 = 145.5: the
+# right end of its last scanned interval.
+_PHI_X_MAX = 8.0 * 1.25 ** 13
+
+
 @lru_cache(maxsize=32)
 def _cached_test_function(eta: float) -> TestFunction:
-    # the probes stop at 80, but _expected_x_space evaluates phi out to
-    # _phi_tail_cutoff (up to 145.5); a node count that passes only small-x
-    # probes could alias there. For eta 0.8 to 1.2 the 2048 nodes chosen stay
-    # within 1e-12 of the peak of a 16384-node phi on that whole range
-    # (tests/test_rmt.py)
-    probes = (0.0, 0.6, 2.3, 25.0, 80.0)
-    prev = None
-    for n in (1024, 2048, 4096, 8192):
-        x, w = gauss_legendre(n)
-        xi = x * eta
-        wq = w * eta * bump(xi / eta)
-        probe = np.array([np.dot(wq, np.cos(2.0 * math.pi * p * xi)) for p in probes])
-        if prev is not None and np.max(np.abs(probe - prev)) < 5e-13 * max(
-            1e-30, float(np.max(np.abs(probe)))
-        ):
-            return TestFunction(eta=eta, _xi=xi, _wq=wq)
-        prev = probe
-    raise DomainError("test-function quadrature failed to stabilize")
+    # phi is even, so phi(x) = 2 * integral over (0, eta) of b(xi/eta)
+    # cos(2 pi x xi). The panels resolve the cosine for every x up to
+    # _PHI_X_MAX, where _expected_x_space evaluates phi, and give the bump at
+    # least 24 panels: without that floor phi errs by up to 2.8e-8 of its
+    # peak at eta = 0.02
+    xi, w = _band_panels(eta, max(2.0 * math.pi * _PHI_X_MAX, 96.0 * math.pi / eta))
+    return TestFunction(eta=eta, _xi=xi, _wq=2.0 * w * bump(xi / eta))
 
 
 def make_test_function(eta: float) -> TestFunction:
@@ -123,13 +117,13 @@ def rmt_density_eval(group: str, x: float) -> tuple[float, float]:
 def _phi_tail_cutoff(phi: TestFunction) -> float:
     """x beyond which |phi| is below 1e-14 of its peak, found by scanning.
 
-    The scan tests [x, 1.25 x] for x = 8 * 1.25^k while x < 120 and returns
-    the right end of the first quiet interval, so a result can reach
-    8 * 1.25^13 = 145.5; 120 is returned only when no interval is quiet.
+    The scan tests [x, 1.25 x] for x = 8 * 1.25^k up to x = _PHI_X_MAX / 1.25
+    and returns the right end of the first quiet interval, so a result can
+    reach _PHI_X_MAX; 120 is returned only when no interval is quiet.
     """
     peak = abs(float(phi.phi(np.array([0.0]))[0]))
     x = 8.0
-    while x < 120.0:
+    while x * 1.25 <= _PHI_X_MAX:
         grid = np.linspace(x, x * 1.25, 40)
         if np.max(np.abs(phi.phi(grid))) < 1e-14 * peak:
             return x * 1.25

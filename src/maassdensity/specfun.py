@@ -816,8 +816,10 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def scaled_bessel_series_grid(r: np.ndarray, x: float) -> np.ndarray:
     """Vectorized J_{2ir_i}(x)/cosh(pi r_i) over an array of real r, x <= 36.
 
-    Series route only (no cancellation below x ~ 36); used by quadrature
-    grids where x = 4*pi*sqrt(mn)/c stays small.
+    Series route only; used by quadrature grids where x = 4*pi*sqrt(mn)/c
+    stays small. The series cancels: its terms grow to about I_0(x), so on
+    nodes r <= 2, where the value is near 0.1, it misses 60-digit mpmath by
+    1.6e-9 at x = 20, 2.0e-5 at x = 30 and 3.4e-3 at x = 35.
     """
     if x > 36.0:
         raise DomainError("scaled_bessel_series_grid is limited to x <= 36")

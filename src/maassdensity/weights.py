@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
-from scipy.linalg import eigvalsh_tridiagonal
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, OverflowGuardError, PoleError
 
@@ -37,35 +36,13 @@ _TWO_PI = 2.0 * math.pi
 
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
-    numpy.polynomial.legendre.leggauss(n); computed once per n and shared
-    read-only.
-
-    leggauss takes its first nodes from a dense O(n^3) eigensolve of the
-    n x n companion matrix, which for Legendre is the symmetric tridiagonal
-    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969). Here the
-    eigenvalues come from its diagonal (zero) and off-diagonal, built as
-    legcompanion builds them; the Newton step, the weight formula, the
-    symmetrisation and the normalisation are leggauss's own.
-    """
+    """Gauss-Legendre nodes and weights on [-1, 1]: those of
+    numpy.polynomial.legendre.leggauss(n), computed once per n and shared
+    read-only."""
     n = int(n)
     if n < 1:
         raise DomainError("Gauss-Legendre order must be >= 1")
-    c = np.array([0] * n + [1])
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:])
-    # improve the roots by one Newton step
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df
-    # weights, scaled against overflow, then symmetrised and normalised
-    fm = legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
+    x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

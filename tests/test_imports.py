@@ -3,7 +3,8 @@
 There is no linter in the test environment, so this AST scan keeps unused
 imports from coming back. A name counts as read when the module loads it
 anywhere or lists it in __all__ (the package's re-exports). The last test
-checks that the runtime path needs no test-only dependency (mpmath).
+checks that the runtime path needs no test-only dependency (mpmath,
+scipy).
 """
 
 import ast
@@ -98,8 +99,9 @@ def test_no_unread_private_module_names():
     assert not unread, unread
 
 
-def test_runtime_path_runs_without_mpmath():
-    # mpmath is a test oracle only: the transition-band Bessel nodes of the
-    # (5, 7) Gaussian grid and its geometric side run with it blocked
-    script = ROOT / "tests" / "runtime_without_mpmath.py"
-    assert "without mpmath" in run_pinned(script.read_text(encoding="utf-8"))
+def test_runtime_path_runs_without_test_extras():
+    # mpmath and scipy are test oracles only: the transition-band Bessel
+    # nodes of the (5, 7) Gaussian grid, its geometric side and a T = 11
+    # density report run with both blocked
+    script = ROOT / "tests" / "runtime_without_test_extras.py"
+    assert "without mpmath or scipy" in run_pinned(script.read_text(encoding="utf-8"))

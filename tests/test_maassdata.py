@@ -83,6 +83,14 @@ def test_json_requires_normalization_key():
         parse_records_text('{"forms": []}', "json")
 
 
+def test_json_requires_norm_sq():
+    # the harmonic weight 1/|u|^2 is never filled in for a missing norm, as
+    # in the CSV reader
+    text = '{"normalization": "hecke-unit", "forms": [{"t": 9.53, "parity": "even"}]}'
+    with pytest.raises(DataFormatError, match="norm_sq"):
+        parse_records_text(text, "json")
+
+
 def test_unknown_format():
     with pytest.raises(DataFormatError):
         parse_records_text(GOOD_CSV, "xml")

@@ -150,17 +150,28 @@ def test_symplectic_sits_below_unitary():
     assert rmt_expected_value(phi, "Sp") < rmt_expected_value(phi, "U")
 
 
-@pytest.mark.parametrize("eta", [0.8, 1.0, 1.2])
+@pytest.mark.parametrize("eta", [0.05, 0.1, 0.3, 0.8, 1.0, 1.2, 1.9, 4.0])
 def test_phi_holds_to_its_tail_cutoff(eta):
-    # the node count is fixed by probes up to x = 80, but phi is integrated
-    # out to _phi_tail_cutoff (145.5 at eta = 1.2); check it there against
-    # a 16384-node quadrature of the same bump (16-point Gauss-Legendre on
-    # 1024 panels)
+    # phi is integrated out to _phi_tail_cutoff (145.5 at eta = 1.2); check
+    # it there against a 16384-node quadrature of the same bump (16-point
+    # Gauss-Legendre on 1024 panels). The small eta lean on the 24-panel
+    # floor of the bump nodes
     phi = make_test_function(eta)
-    assert phi._xi.size == 2048
     L = _phi_tail_cutoff(phi)
     xi, w = _gl_panels(np.linspace(-eta, eta, 1025))
     fine = rmt.TestFunction(eta=eta, _xi=xi, _wq=w * bump(xi / eta))
     grid = np.linspace(0.0, L, 2001)
     peak = abs(fine.phi(np.array([0.0]))[0])
     assert np.max(np.abs(phi.phi(grid) - fine.phi(grid))) <= 1e-12 * peak
+
+
+# integral over (-1, 1) of exp(-1/(1-u^2)), to 20 digits
+_BUMP_MASS = 0.44399381616807943782
+
+
+@pytest.mark.parametrize("eta", [0.02, 0.05, 0.1, 0.3, 0.8, 1.0, 1.2, 1.9, 4.0])
+def test_phi_at_zero_is_the_bump_mass(eta):
+    # phi(0) = eta * the bump's mass, which the O prediction
+    # phi-hat(0) + phi(0)/2 reads; a 4-ulp bound
+    want = eta * _BUMP_MASS
+    assert abs(float(make_test_function(eta).phi(0.0)) - want) <= 4 * math.ulp(want)

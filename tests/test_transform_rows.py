@@ -57,7 +57,8 @@ for eta in (0.8, 1.5):
     phi = make_test_function(eta)
     # rmt._expected_x_space passes its whole grid in one call, 1,728 to
     # 2,576 points at eta 0.8 to 1.2; 4096 rows cover that, where 121104
-    # rows of a 2048-node dense reference would need 2 GB
+    # rows of the dense reference over 944 to 1,760 nodes would need up to
+    # 1.7 GB
     for n in sizes(phi._xi.size, 4096) + [4099]:
         x = rng.uniform(0.0, 120.0, n)
         if not np.array_equal(phi.phi(x), dense(np.cos, two_pi, x, phi._xi, phi._wq)):
