@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, RegimeError
 from .specfun import (
+    _map_blocks,
     dunster_xi,
     scaled_bessel_j_imag_grid,
     scaled_bessel_series_grid,
@@ -108,8 +109,8 @@ def _check_t(T: int) -> int:
 
 
 def _check_xt(X: float, T: int):
-    if not X > 0.0:
-        raise DomainError("X must be positive")
+    if not (X > 0.0 and math.isfinite(X)):
+        raise DomainError("X must be positive and finite")
     return float(X), _check_t(T)
 
 
@@ -444,10 +445,7 @@ def _miller_blocks(ax, nmax):
     """
     tiny = ax < 1e-10
     full = np.nonzero(~tiny)[0]
-    starts = np.array(
-        [_miller_start(float(x), int(n)) for x, n in zip(ax[full], nmax[full])],
-        dtype=np.int64,
-    )
+    starts = _map_blocks(_miller_start, ax[full], nmax[full], dtype=np.int64)
     order = np.argsort(-starts, kind="stable")
     full, starts = full[order], starts[order]
     lo = 0
@@ -601,7 +599,7 @@ def dj_asymptotic(X: float, T: int, family: WeightFamily | None = None) -> DJRes
     sw = make_spectral_weight(family or default_family(), T)
     hv = nodes * sw.h_T_real(nodes)
     amp = (4.0 * nodes * nodes + X * X) ** -0.25
-    phase = np.array([2.0 * r * dunster_xi(X / (2.0 * r)) if r > 0 else X for r in nodes])
+    phase = _map_blocks(lambda r: 2.0 * r * dunster_xi(X / (2.0 * r)) if r > 0 else X, nodes)
     lead = float(np.dot(wts, hv * amp * np.sin(phase - 0.25 * math.pi)))
     value = 2.0j * math.sqrt(2.0 / math.pi) * lead
     # first correction of the expansion is O(1/r) relative

@@ -105,8 +105,9 @@ def log_gamma_grid(z: np.ndarray) -> np.ndarray:
     g = 7, 9 terms); `log_gamma_complex` is its one-element view.
 
     The Lanczos sum runs on real arrays with CPython's complex formulas
-    (`_c_prod`, `_c_quot`) and cmath.log is a per-element call, so an
-    element's value does not depend on the batch it is in.
+    (`_c_prod`, `_c_quot`) and cmath.log is a per-element call on Python
+    complexes fed from lists (`_cmath_log`), so an element's value does not
+    depend on the batch it is in.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.real < 0.5):
@@ -143,10 +144,11 @@ def _log_gamma_block(z: np.ndarray) -> np.ndarray:
 # Elementwise rules are plain numpy where numpy returns libm's bits (np.hypot
 # is abs(complex) and complex np.exp is cmath.exp; tests pin both). The rules
 # below, and the math.tanh map in `_hankel_batch`, keep CPython's or libm's
-# own form because numpy's moves benchmark outputs: the D_J quadrature at
-# X > 36 cancels by up to 5e10, so a node's last bit can reach a recorded
-# digit. `_c_prod` and `_c_quot` are CPython's _Py_c_prod and _Py_c_quot on
-# (real, imaginary) array pairs; a Python float operand enters as (value, 0.0).
+# own form (the maps through `_map_blocks`) because numpy's moves benchmark
+# outputs: the D_J quadrature at X > 36 cancels by up to 5e10, so a node's
+# last bit can reach a recorded digit. `_c_prod` and `_c_quot` are CPython's
+# _Py_c_prod and _Py_c_quot on (real, imaginary) array pairs; a Python float
+# operand enters as (value, 0.0).
 
 
 def _c_prod(a_re, a_im, b_re, b_im):
@@ -169,7 +171,17 @@ def _c_quot(a_re, a_im, b_re, b_im):
 
 def _cmath_log(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     # np.log moves 103 of 1,020 recorded outputs, by up to 4.4e-5 relative
-    return np.fromiter(map(cmath.log, map(complex, re, im)), complex, count=np.size(re))
+    return _map_blocks(cmath.log, _complex(re, im).ravel(), dtype=complex)
+
+
+def _map_blocks(f, *arrays, dtype=float) -> np.ndarray:
+    """[f(a, b, ...) for the elements of the equal-length 1-d arrays], with
+    f called on Python scalars: `.tolist()` blocks of at most 4096 elements
+    convert faster than numpy scalars and keep the lists small."""
+    out = np.empty(arrays[0].size, dtype=dtype)
+    for lo in range(0, out.size, 4096):
+        out[lo:lo + 4096] = list(map(f, *(a[lo:lo + 4096].tolist() for a in arrays)))
+    return out
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -233,10 +245,11 @@ def scaled_bessel_j_imag(r: float, x: float) -> ScaledBesselValue:
     """J_{2ir}(x)/cosh(pi r) for real r and x > 0: a one-node
     `scaled_bessel_j_imag_grid` call.
 
-    A call costs about 2-30 ms on a 2-vCPU VM (the transition band
-    |2r| ~ x, where the double-double and fixed-point routes run, is the
-    dear end), far more than a node of a batch: callers with many r at one
-    x pass them to `scaled_bessel_j_imag_grid` at once.
+    A call costs about 0.5-13 ms on a 2-vCPU VM for x from 5 to 200: about
+    0.5 ms on the Hankel route, 1-2 ms on the series, 8-13 ms in the
+    transition band |2r| ~ x, where the double-double and fixed-point
+    routes run. That is far more than a node of a batch: callers with many
+    r at one x pass them to `scaled_bessel_j_imag_grid` at once.
     """
     r = float(r)
     x = float(x)
@@ -317,9 +330,10 @@ def _series_batch(r: np.ndarray, x: float):
 
     Kahan-compensated, from the log-scaled leading term; a node stops after
     40 terms in a row below 1e-18 of its largest, or with estimate inf once
-    a term overflows. Returns (values, error estimates); an estimate is
-    rounding noise at the largest term, and the caller decides whether that
-    is acceptable.
+    a term overflows. A node whose sum provably cannot move any more stops
+    earlier with the same bits (`_series_settled`). Returns (values, error
+    estimates); an estimate is rounding noise at the largest term, and the
+    caller decides whether that is acceptable.
     """
     val = np.empty(r.size, dtype=complex)
     err = np.empty(r.size)
@@ -355,6 +369,7 @@ def _series_batch(r: np.ndarray, x: float):
         thr = 1e-18 * max_mag
         quiet = np.where(mag < thr, quiet + 1, 0)
         done = quiet >= _SERIES_QUIET_RUN
+        done |= _series_settled(n, nu_im, x, mag, acc_re, acc_im, cp_re, cp_im)
         if x > 700.0:
             # a term whose parts or modulus overflowed never turns quiet; it
             # leaves with estimate inf. Below, terms stay under I_0(x) < e^x.
@@ -370,6 +385,30 @@ def _series_batch(r: np.ndarray, x: float):
             t_re, t_im, acc_re, acc_im = t_re[keep], t_im[keep], acc_re[keep], acc_im[keep]
             cp_re, cp_im, max_mag, quiet = cp_re[keep], cp_im[keep], max_mag[keep], quiet[keep]
     return val, err
+
+
+def _series_settled(n: int, two_r, x: float, mag, acc_re, acc_im, cp_re, cp_im):
+    """The nodes of `_series_batch` whose sum no later term can move, after
+    term n (of modulus mag).
+
+    Once (n+1) max(n+1, 2r) >= 2|q| = x^2/2, every later term ratio
+    |q / ((k+1)(k+1+2ir))| is at most 1/2, so the terms after t_n sum to at
+    most |t_n|. A Kahan step whose y is below half the gap beneath |acc|
+    leaves acc as it is and sets cp = -y, so from then on y is cp plus a
+    partial tail. Where (|cp| + 1.01 |t_n|)(1 + 1e-6), the factors covering
+    the rounding of the terms and of y, stays below that half-gap in both
+    parts, acc never moves again, and max_mag, which smaller terms cannot
+    raise, is final: the 40-term quiet run would return the same bits.
+    """
+    settled = (n + 1) * np.maximum(n + 1.0, two_r) >= 0.5 * x * x
+    if not settled.any():
+        return settled
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = 1.01 * mag
+        for acc, cp in ((acc_re, cp_re), (acc_im, cp_im)):
+            a = np.abs(acc)
+            settled &= (np.abs(cp) + tail) * (1.0 + 1e-6) < 0.5 * (a - np.nextafter(a, 0.0))
+    return settled
 
 
 def _series_first_term(nu_re, nu_im, r: np.ndarray, x: float):
@@ -394,7 +433,7 @@ def _hankel_batch(r: np.ndarray, x: float):
     u = x - 0.25 * math.pi
     cu, su = math.cos(u), math.sin(u)
     # np.tanh differs from libm's on 2,081 of the benchmark's 66,901 Hankel nodes
-    th = np.fromiter(map(math.tanh, map(float, math.pi * r)), float, count=r.size)
+    th = _map_blocks(math.tanh, math.pi * r)
     four_nu2 = -16.0 * r * r
     p_acc = np.zeros(r.size)
     q_acc = np.zeros(r.size)
@@ -847,7 +886,8 @@ def _series_grid_sum(pre: tuple, x: float) -> np.ndarray:
     for n in range(1, 400):
         term = term * (q / (n * (n + nu)))
         acc += term
-        if np.max(np.abs(term)) < 1e-18 * max(1.0, float(np.max(np.abs(acc)))):
+        big = max(1.0, float(np.max(np.abs(acc), initial=0.0)))
+        if np.max(np.abs(term), initial=0.0) < 1e-18 * big:
             return acc
     raise ConvergenceError("vectorized Bessel series did not converge")
 

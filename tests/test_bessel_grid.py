@@ -253,6 +253,129 @@ def test_numpy_complex_exp_is_cmath_exp():
     _assert_bits_equal(np.exp(z), want)
 
 
+def _quiet_run_series_batch(r, x):
+    """`sf._series_batch` as it was before its early exit: each node stops
+    only after the 40-term quiet run (or once a term overflows)."""
+    val = np.empty(r.size, dtype=complex)
+    err = np.empty(r.size)
+    if r.size == 0:
+        return val, err
+    nu_re, nu_im = sf._c_prod(0.0, 2.0, r, 0.0)  # nu = 2j * r
+    t_re, t_im = sf._series_first_term(nu_re, nu_im, r, x)
+    acc_re, acc_im = t_re.copy(), t_im.copy()
+    cp_re, cp_im = np.zeros(r.size), np.zeros(r.size)
+    max_mag = np.hypot(t_re, t_im)
+    quiet = np.zeros(r.size, dtype=np.int64)
+    pos = np.arange(r.size)
+    q = -0.25 * x * x
+    n = 0
+    while pos.size:
+        if n >= sf._SERIES_MAX_TERMS:
+            raise sf.ConvergenceError("imaginary-order Bessel series hit the term cap")
+        n += 1
+        d_re, d_im = sf._c_prod(n, 0.0, n + nu_re, 0.0 + nu_im)
+        f_re, f_im = sf._c_quot(q, 0.0, d_re, d_im)
+        with np.errstate(over="ignore", invalid="ignore"):  # see `lost`
+            t_re, t_im = sf._c_prod(t_re, t_im, f_re, f_im)
+            # Kahan-compensated acc += term
+            y_re = t_re - cp_re
+            y_im = t_im - cp_im
+            s_re = acc_re + y_re
+            s_im = acc_im + y_im
+            cp_re = (s_re - acc_re) - y_re
+            cp_im = (s_im - acc_im) - y_im
+            mag = np.hypot(t_re, t_im)
+        acc_re, acc_im = s_re, s_im
+        max_mag = np.fmax(max_mag, mag)
+        thr = 1e-18 * max_mag
+        quiet = np.where(mag < thr, quiet + 1, 0)
+        done = quiet >= sf._SERIES_QUIET_RUN
+        if x > 700.0:
+            # a term whose parts or modulus overflowed never turns quiet; it
+            # leaves with estimate inf. Below, terms stay under I_0(x) < e^x.
+            lost = ~np.isfinite(mag)
+            max_mag[lost] = math.inf
+            done |= lost
+        if done.any():
+            val.real[pos[done]] = acc_re[done]
+            val.imag[pos[done]] = acc_im[done]
+            err[pos[done]] = 4e-16 * max_mag[done]
+            keep = ~done
+            pos, nu_re, nu_im = pos[keep], nu_re[keep], nu_im[keep]
+            t_re, t_im, acc_re, acc_im = t_re[keep], t_im[keep], acc_re[keep], acc_im[keep]
+            cp_re, cp_im, max_mag, quiet = cp_re[keep], cp_im[keep], max_mag[keep], quiet[keep]
+    return val, err
+
+
+def _assert_series_exit_is_the_quiet_run(r, x):
+    val, err = sf._series_batch(r, x)
+    want_val, want_err = _quiet_run_series_batch(r, x)
+    assert np.array_equal(val.view(np.int64), want_val.view(np.int64))
+    assert np.array_equal(err.view(np.int64), want_err.view(np.int64))
+
+
+@pytest.mark.parametrize("x", [0.5, 20.0, 36.0, 37.17, 39.5, 44.0, 74.34, 200.0,
+                               720.0, 1018.0, 1500.0])
+def test_series_exit_returns_the_quiet_run_bits(x):
+    # an exact early exit: every value and estimate as the 40-term quiet run,
+    # over the cancelling low r (where the sum settles while the term ratio
+    # still exceeds 1/2), the transition band |2r| ~ x and the overflowing
+    # terms past x = 700
+    r = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 20.0, 201),
+                        np.linspace(0.0, 1.2 * x, 241), np.geomspace(1.2 * x, 1e4, 25)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_series_exit_is_the_quiet_run(r, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.lists(st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 60.0)), min_size=1, max_size=30),
+    x=st.one_of(st.floats(1e-3, 80.0), st.floats(80.0, 1500.0)),
+)
+def test_series_exit_returns_the_quiet_run_bits_anywhere(r, x):
+    _assert_series_exit_is_the_quiet_run(np.array(r), x)
+
+
+def test_series_exit_fires(monkeypatch):
+    # far from the transition band the sum settles long before the quiet
+    # run could end (never under 41 terms): count the series' term ratios
+    x = 39.5
+    q = -0.25 * x * x
+    steps = []
+    c_quot = sf._c_quot
+
+    def counted(a_re, a_im, b_re, b_im):
+        if a_re == q:
+            steps.append(1)
+        return c_quot(a_re, a_im, b_re, b_im)
+
+    monkeypatch.setattr(sf, "_c_quot", counted)
+    sf._series_batch(np.linspace(100.0, 1000.0, 50), x)
+    assert 0 < len(steps) < sf._SERIES_QUIET_RUN
+
+
+@pytest.mark.parametrize("re,im", [
+    (np.array([]), np.array([])),
+    # signed zeros on the branch cut, on the positive axis and in the real part
+    (np.array([-1.0, -1.0, -2.5, 3.0, 0.0, -0.0]), np.array([-0.0, 0.0, -0.0, -0.0, -2.0, 2.0])),
+    # non-contiguous views
+    (np.linspace(-5.0, 5.0, 40)[::3], np.geomspace(1e-300, 1e300, 80)[1::6]),
+    # more than one 4096-element block
+    (np.linspace(-7.0, 9.0, 9000), np.linspace(-1e3, 2e3, 9000)),
+])
+def test_cmath_log_is_cmath_log_per_element(re, im):
+    want = np.array([cmath.log(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())],
+                    dtype=complex)
+    got = sf._cmath_log(re, im)
+    assert got.shape == (re.size,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_cmath_log_on_the_lower_branch_cut():
+    assert sf._cmath_log(np.array([-1.0]), np.array([-0.0]))[0] == -math.pi * 1j
+
+
 def test_fixed_point_route_bits_do_not_depend_on_the_batch():
     # alone, next to a much smaller r (a larger shared shift D for 2r) and
     # in a reversed batch, a node keeps its value and estimate bit for bit

@@ -42,6 +42,14 @@ def test_input_validation():
         bt.dj_quadrature(1.0, 5, tol=1e-15)
 
 
+@pytest.mark.parametrize("X", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fn", [bt.dj_quadrature, bt.dj_residue_sum, bt.dj_asymptotic,
+                                bt.sj_direct, bt.sj_alpha_expansion])
+def test_non_finite_x_raises_domain_error(fn, X):
+    with pytest.raises(DomainError):
+        fn(X, 5)
+
+
 def test_sj_routes_agree():
     for (X, T) in ((0.5, 5), (1.0, 11), (3.0, 21)):
         a = bt.sj_direct(X, T)

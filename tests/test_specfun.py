@@ -28,6 +28,7 @@ from maassdensity.specfun import (
     log_cosh,
     log_gamma_complex,
     scaled_bessel_j_imag,
+    scaled_bessel_j_imag_grid,
     scaled_bessel_series_grid,
     zeta_abs2_grid,
     zeta_right_of_one,
@@ -185,6 +186,13 @@ def test_scaled_bessel_grid_matches_scalar():
     for i, ri in enumerate(r):
         want = scaled_bessel_j_imag(float(ri), x).value
         assert abs(grid[i] - want) < 1e-11 * (1.0 + abs(want))
+
+
+def test_scaled_bessel_series_grid_of_no_nodes():
+    # as scaled_bessel_j_imag_grid: an empty array in, an empty array out
+    for grid in (scaled_bessel_series_grid, scaled_bessel_j_imag_grid):
+        got = grid(np.array([]), 5.0)
+        assert got.shape == (0,) and got.dtype == complex
 
 
 def test_scaled_bessel_domain_errors():
