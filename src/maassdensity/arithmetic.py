@@ -1,5 +1,5 @@
-"""Elementary arithmetic ingredients: primes, Kloosterman sums, complex-order
-divisor sums, and Hecke/Satake conversions at prime powers."""
+"""Elementary arithmetic ingredients: primes, Kloosterman sums and
+complex-order divisor sums."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ __all__ = [
     "kloosterman_sum",
     "kloosterman_sums",
     "divisor_sigma_complex",
-    "satake_from_lambda",
-    "hecke_prime_power",
 ]
 
 _PRIME_CAP = 10 ** 9
@@ -169,33 +167,3 @@ def divisor_sigma_complex(n: int, s: complex) -> complex:
         out *= 1.0 + cmath.exp(s * math.log(rem))
     return out
 
-
-def satake_from_lambda(lam: float) -> tuple[complex, complex]:
-    """Satake pair (alpha, 1/alpha) with alpha + 1/alpha = lambda_p.
-
-    Tempered |lambda| <= 2 gives a unitary pair; larger values give a real
-    pair, still with product 1.
-    """
-    lam = float(lam)
-    disc = lam * lam - 4.0
-    if disc <= 0.0:
-        root = complex(lam / 2.0, math.sqrt(-disc) / 2.0)
-    else:
-        root = complex((lam + math.copysign(math.sqrt(disc), lam)) / 2.0, 0.0)
-    return root, 1.0 / root
-
-
-def hecke_prime_power(lam: float, k: int) -> float:
-    """lambda_{p^k} from lambda_p via the Hecke recursion at a prime p.
-
-    lambda_{p^{k+1}} = lambda_p lambda_{p^k} - lambda_{p^{k-1}}.
-    """
-    k = int(k)
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    prev, cur = 1.0, float(lam)
-    if k == 0:
-        return 1.0
-    for _ in range(k - 1):
-        prev, cur = cur, float(lam) * cur - prev
-    return cur

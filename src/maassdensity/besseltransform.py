@@ -33,6 +33,7 @@ from .specfun import (
 from .weights import (
     SpectralWeight,
     WeightFamily,
+    _check_odd_T,
     default_family,
     g_tilde_eval,
     gauss_legendre,
@@ -101,17 +102,10 @@ class ScanReport:
         return buf.getvalue()
 
 
-def _check_t(T: int) -> int:
-    T = int(T)
-    if T < 3 or T % 2 == 0:
-        raise DomainError("T must be an odd integer >= 3")
-    return T
-
-
 def _check_xt(X: float, T: int):
     if not (X > 0.0 and math.isfinite(X)):
         raise DomainError("X must be positive and finite")
-    return float(X), _check_t(T)
+    return float(X), _check_odd_T(T)
 
 
 # ----------------------------------------------------------------------------
@@ -244,7 +238,7 @@ def sj_direct(X: float, T: int, family: WeightFamily | None = None) -> float:
     """S_J(X) = T sum_k (-1)^k J_{2k+1}(X) x^2 h(x)/sin(pi x), x=(2k+1)/2T."""
     X = float(X)
     if X == 0.0:
-        _check_t(T)
+        _check_odd_T(T)
         return 0.0
     X, T = _check_xt(X, T)
     terms, _tail = _first_family_terms(family or default_family(), X, T)
@@ -255,7 +249,7 @@ def sj_alpha_expansion(X: float, T: int, family: WeightFamily | None = None) -> 
     """The same sum through the Dirichlet-kernel expansion over |alpha| < T/2."""
     X = float(X)
     if X == 0.0:
-        _check_t(T)
+        _check_odd_T(T)
         return 0.0
     X, T = _check_xt(X, T)
     if T > 101:
@@ -325,7 +319,7 @@ def dj_residue_sum(X: float, T: int, family: WeightFamily | None = None) -> DJRe
     """D_J by the residue expansion; constants verified against quadrature."""
     X = float(X)
     if X == 0.0:
-        return DJResult(value=0.0j, method="residue", X=0.0, T=_check_t(T), error_estimate=0.0)
+        return DJResult(value=0.0j, method="residue", X=0.0, T=_check_odd_T(T), error_estimate=0.0)
     X, T = _check_xt(X, T)
     family = family or default_family()
     _ensure_calibrated(family)
@@ -629,9 +623,7 @@ def stationary_phase_sums(
     returned and the residual parts checked.
     """
     Y = float(Y)
-    T = int(T)
-    if T < 3 or T % 2 == 0:
-        raise DomainError("T must be an odd integer >= 3")
+    T = _check_odd_T(T)
     if not (0.0 < Y <= T / (2.0 * math.pi)):
         raise RegimeError("stationary sums require 0 < Y <= T/(2 pi)")
     family = family or default_family()
@@ -679,13 +671,14 @@ def bound_scan(
 
     Points violating a bound's validity regime are flagged and excluded from
     the ratio lists rather than failing the scan. The family (the default
-    family when None) weighs every scan but souped_up, which needs M = 12.
+    family when None) weighs every scan but souped_up, which needs M = 12;
+    every D_J value, souped_up's included, is a calibrated dj_residue_sum.
     """
     if which not in _DEFAULT_GRIDS:
         raise DomainError(f"unknown scan {which!r}")
     points = []
     if grid is not None:
-        points = [(float(x), int(t)) for x, t in grid]
+        points = [(float(x), _check_odd_T(t)) for x, t in grid]
     elif which == "small_X":
         xs, ts = _DEFAULT_GRIDS[which]
         points = [(x, t) for t in ts for x in xs]
@@ -713,9 +706,9 @@ def bound_scan(
                 v = abs(dj_residue_sum(X, T, family).value)
                 b = X / math.sqrt(T)
             elif which == "souped_up":
-                M = _souped_family().M
-                v = abs(_residue_value(_souped_family(), X, T)[0])
-                b = X ** M * T ** (1.5 - 2.0 * M) + T ** -1.5
+                m12 = _souped_family()
+                v = abs(dj_residue_sum(X, T, m12).value)
+                b = X ** m12.M * T ** (1.5 - 2.0 * m12.M) + T ** -1.5
             elif which == "stationary_A":
                 v = stationary_phase_sums(X, T, family)[0]
                 b = X ** 4 / T ** 7

@@ -3,8 +3,10 @@
 Every subcommand is a reproducible batch run: the same resolved
 configuration produces byte-identical output files. Configuration
 precedence is flags > --config JSON > environment variables > defaults
-(M = 8, bump_halfwidth = 1/8, tol = 1e-8, c_max = 1000). Only bessel-int
-reads tol, and only it takes the --tol flag.
+(M = 8, bump_halfwidth = 1/8, tol = 1e-8, c_max = 1000). A subcommand
+takes only the flags it reads: --M and --bump-halfwidth all but kernels and
+validate-data, --c-max trace-verify, total-mass, avg-lambda, density and
+converge, and --tol bessel-int alone. Any other flag exits 2.
 
 Environment variables: MAASS_M, MAASS_BUMP_HALFWIDTH, MAASS_TOL,
 MAASS_C_MAX, MAASS_DATA_DIR.
@@ -217,11 +219,7 @@ def _cmd_converge(args, cfg) -> int:
     T_list = [int(t) for t in args.T_list.split(",")]
     eta_list = [float(e) for e in args.eta_list.split(",")]
     reports, flags = density.convergence_scan(
-        T_list,
-        eta_list,
-        rmt.make_test_function,
-        c_max=min(int(cfg["c_max"]), 500),
-        family=cfg["family"],
+        T_list, eta_list, c_max=min(int(cfg["c_max"]), 500), family=cfg["family"]
     )
     _write_output(args, density.reports_to_csv(reports))
     if args.split_output:
@@ -288,11 +286,15 @@ def _cmd_validate_data(args, cfg) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _add_common(sp):
+def _add_common(sp, family: bool = True, c_max: bool = True):
+    """--config and --output; the weight-family flags and --c-max only
+    where the subcommand reads them."""
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--M", type=int, help="weight order (multiple of 4, >= 8)")
-    sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float)
-    sp.add_argument("--c-max", dest="c_max", type=int)
+    if family:
+        sp.add_argument("--M", type=int, help="weight order (multiple of 4, >= 8)")
+        sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float)
+    if c_max:
+        sp.add_argument("--c-max", dest="c_max", type=int)
     sp.add_argument("--output", help="write the primary artifact here")
 
 
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float,
         help="quadrature tolerance (the quadrature runs at tol/100)",
     )
-    _add_common(p)
+    _add_common(p, c_max=False)
     p.set_defaults(func=_cmd_bessel_int)
 
     p = sub.add_parser("bound-scan", help="empirical decay-bound ratio scan")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(besseltransform._DEFAULT_GRIDS),
         required=True,
     )
-    _add_common(p)
+    _add_common(p, c_max=False)
     p.set_defaults(func=_cmd_bound_scan)
 
     p = sub.add_parser("trace-verify", help="spectral vs geometric side")
@@ -366,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="so-even, so-odd, o, u, sp")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--x", type=float, help="also evaluate the density at x")
-    _add_common(p)
+    _add_common(p, family=False, c_max=False)
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("validate-data", help="check an eigenform export")
     p.add_argument("--maass-data", dest="maass_data")
-    _add_common(p)
+    _add_common(p, family=False, c_max=False)
     p.set_defaults(func=_cmd_validate_data)
 
     return parser

@@ -27,8 +27,8 @@ from .kuznetsov import (
     weight_log_conductor,
     weight_spectral,
 )
-from .rmt import TestFunction, rmt_expected_value
-from .weights import WeightFamily, default_family
+from .rmt import TestFunction, make_test_function, rmt_expected_value
+from .weights import WeightFamily, _check_odd_T, default_family
 
 __all__ = [
     "DensityReport",
@@ -78,9 +78,10 @@ class DensityReport:
 
 
 def _check_T(T) -> int:
-    T = int(T)
-    if T < 5 or T % 2 == 0:
-        raise DomainError("T must be an odd integer >= 5")
+    """weights' rule on T, plus the density floor T >= 5."""
+    T = _check_odd_T(T)
+    if T < 5:
+        raise DomainError(f"T must be an odd integer >= 5, got {T}")
     return T
 
 
@@ -234,20 +235,19 @@ def explicit_formula_average(
 
 
 def convergence_scan(
-    T_list, eta_list, phi_factory, c_max: int = 150,
-    family: WeightFamily | None = None,
+    T_list, eta_list, c_max: int = 150, family: WeightFamily | None = None,
 ) -> tuple[list, list]:
     """Density reports over a (T, eta) grid, plus threshold flags.
 
-    Returns (reports, flags); flags lists (T, eta, message) for eta values
-    at or beyond THEOREM_THRESHOLD, the support bound of an M = 1 weight.
-    The family (the default family when None) weighs every report, and its
-    order names the extended bound in the flags.
+    Each eta's test function is rmt.make_test_function(eta). Returns
+    (reports, flags); flags lists (T, eta, message) for eta values at or
+    beyond THEOREM_THRESHOLD, the support bound of an M = 1 weight. The
+    family (the default family when None) weighs every report, and its
+    order names the extended bound in the flags. Every T is checked before
+    any work starts.
     """
     family = family or default_family()
-    T_list = [int(t) for t in T_list]
-    if any(t % 2 == 0 for t in T_list):
-        raise DomainError("all T must be odd")
+    T_list = [_check_T(t) for t in T_list]
     eta_list = [float(e) for e in eta_list]
     if any(e >= 2.0 for e in eta_list):
         raise DomainError("eta must be < 2")
@@ -265,7 +265,7 @@ def convergence_scan(
             )
     reports = []
     for T in T_list:
-        phis = [phi_factory(eta) for eta in eta_list]
+        phis = [make_test_function(eta) for eta in eta_list]
         for phi in phis:
             _prime_support(T, phi)  # the prime cap, before the engine
         engine = DensityEngine(T, c_max=c_max, family=family)

@@ -5,8 +5,8 @@ verification, the total spectral mass, and weighted eigenvalue averages.
 
 The admissible-weight catalogue is closed: the spectral weight h_T itself,
 centered Gaussians, log(1+r^2) h_T for conductor averages, and finite linear
-combinations of these. All are even and holomorphic in the required strip by
-construction.
+combinations of these. All are even by construction (AdmissibleWeight.eval
+reads only |r|) and holomorphic in the required strip.
 """
 
 from __future__ import annotations
@@ -94,57 +94,43 @@ class AdmissibleWeight:
         return max(w.r_cut() for _, w in self.components)
 
 
-def _check_even(w: AdmissibleWeight):
-    grid = np.array([0.3, 1.7, 5.1, 11.2])
-    a = w.eval(grid)
-    b = w.eval(-grid)
-    if np.max(np.abs(a - b)) > 1e-12 * (1.0 + float(np.max(np.abs(a)))):
-        raise DomainError("admissible weights must be even")
-
-
-def _family_weight(kind: str, description: str, T: int, family) -> AdmissibleWeight:
+def _family_weight(kind: str, label: str, T: int, family) -> AdmissibleWeight:
     family = family or default_family()
-    make_spectral_weight(family, T)  # validates T
-    w = AdmissibleWeight(kind=kind, description=description, T=int(T), family=family)
-    _check_even(w)
-    return w
+    T = make_spectral_weight(family, T).T
+    return AdmissibleWeight(kind=kind, description=f"{label}, T={T}", T=T, family=family)
 
 
 def weight_spectral(T: int, family: WeightFamily | None = None) -> AdmissibleWeight:
     """h_T of the family (the default family when None)."""
-    return _family_weight("h_T", f"h_T, T={T}", T, family)
+    return _family_weight("h_T", "h_T", T, family)
 
 
 def weight_gaussian(center: float, width: float) -> AdmissibleWeight:
     center, width = float(center), float(width)
     if not (math.isfinite(center) and math.isfinite(width)) or width <= 0.0 or center < 0.0:
         raise DomainError("gaussian weight needs a finite center >= 0 and width > 0")
-    w = AdmissibleWeight(
+    return AdmissibleWeight(
         kind="gaussian",
         description=f"symmetrized gaussian c={center} w={width}",
         center=center,
         width=width,
     )
-    _check_even(w)
-    return w
 
 
 def weight_log_conductor(T: int, family: WeightFamily | None = None) -> AdmissibleWeight:
     """log(1 + r^2) h_T of the family (the default family when None)."""
-    return _family_weight("log_h_T", f"log(1+r^2) h_T, T={T}", T, family)
+    return _family_weight("log_h_T", "log(1+r^2) h_T", T, family)
 
 
 def weight_combination(parts) -> AdmissibleWeight:
     parts = tuple((float(a), w) for a, w in parts)
     if not parts:
         raise DomainError("empty combination")
-    w = AdmissibleWeight(
+    return AdmissibleWeight(
         kind="combo",
         description=" + ".join(f"{a}*({w.description})" for a, w in parts),
         components=parts,
     )
-    _check_even(w)
-    return w
 
 
 # ----------------------------------------------------------------------------
@@ -531,9 +517,9 @@ def averaged_eigenvalue(
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
+    weight = weight_spectral(T, family)
     if m == 1:
         return 1.0
-    weight = weight_spectral(T, family)
     return geometric_side(m, 1, weight, c_max=c_max).total() / total_mass(
         T, c_max=c_max, family=family
     )

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _KIM_SARNAK = 7.0 / 64.0
+# largest |lambda_2 lambda_3 - lambda_6| that validate_records passes
+_COEFF_TOL = 1e-6
 _NORMALIZATION = "hecke-unit"
 
 
@@ -206,8 +208,11 @@ def _untempered_prime(rec: MaassFormRecord, primes) -> int | None:
     return None
 
 
-def validate_records(records: list, coeff_tol: float = 1e-6) -> dict:
-    """Per-record invariant report plus a quadratic count-fit residual."""
+def validate_records(records: list) -> dict:
+    """Per-record invariant report plus a quadratic count-fit residual.
+
+    The multiplicativity check passes |lambda_2 lambda_3 - lambda_6| up to
+    _COEFF_TOL = 1e-6."""
     if not records:
         raise DataFormatError("validation needs a nonempty record list")
     per_record = []
@@ -217,7 +222,7 @@ def validate_records(records: list, coeff_tol: float = 1e-6) -> dict:
         checks["tempered_range"] = _untempered_prime(rec, (2, 3, 5, 7, 11, 13)) is None
         if all(k in rec.lambdas for k in (2, 3, 6)):
             checks["multiplicative_2_3_6"] = (
-                abs(rec.lambdas[2] * rec.lambdas[3] - rec.lambdas[6]) <= coeff_tol
+                abs(rec.lambdas[2] * rec.lambdas[3] - rec.lambdas[6]) <= _COEFF_TOL
             )
         checks["t_nonnegative"] = rec.t >= 0.0
         per_record.append({"t": rec.t, "checks": checks, "pass": all(checks.values())})

@@ -111,12 +111,12 @@ class WeightFamily:
     """Weight h(x) = x^M s(x)^2 with s the transform of a compact bump.
 
     M must be a multiple of 4: the even square-root x^{M/2} s(x) requires M/2
-    even, and h(iy) >= 0 fails otherwise.
+    even, and h(iy) >= 0 fails otherwise. Every s integral runs over the
+    _BUMP_NODES-point Gauss-Legendre rule on the bump support (-w, w).
     """
 
     M: int
     bump_halfwidth: float
-    quadrature_nodes: int
     _xi: np.ndarray = field(repr=False, compare=False)
     _wb: np.ndarray = field(repr=False, compare=False)
 
@@ -195,27 +195,18 @@ class WeightFamily:
         return float(np.dot(self._wb, self._xi ** order))
 
 
-def _build_nodes(M: int, w: float):
-    """Gauss-Legendre nodes on (-w, w), panel count doubled until s is stable."""
-    probes = [0.0, 0.77, 1.5, 3.2, 2.0j, 0.9 + 1.1j]
-    prev = None
-    for n in (64, 128, 256, 512, 1024, 2048, 4096):
-        x, gw = gauss_legendre(n)
-        xi = x * w
-        wb = gw * w * bump(xi / w)
-        vals = np.array([np.dot(wb, np.exp(2j * math.pi * p * xi)) for p in probes])
-        if prev is not None and np.max(np.abs(vals - prev)) < 1e-13 * max(
-            1e-30, float(np.max(np.abs(vals)))
-        ):
-            return n, xi, wb
-        prev = vals
-    raise DomainError("bump quadrature failed to stabilize")
+# Gauss-Legendre order of the bump quadrature. At every half-width tried,
+# from 1e-6 to 1/8, s at 256 nodes agrees with a 512-node rule to 3.6e-15 of
+# its size at six probes on and off the real line.
+_BUMP_NODES = 256
 
 
 @lru_cache(maxsize=16)
 def _cached_family(M: int, w: float) -> WeightFamily:
-    n, xi, wb = _build_nodes(M, w)
-    return WeightFamily(M=M, bump_halfwidth=w, quadrature_nodes=n, _xi=xi, _wb=wb)
+    x, gw = gauss_legendre(_BUMP_NODES)
+    xi = x * w
+    wb = gw * w * bump(xi / w)
+    return WeightFamily(M=M, bump_halfwidth=w, _xi=xi, _wb=wb)
 
 
 def make_weight_family(M: int, bump_halfwidth: float = 0.125) -> WeightFamily:
@@ -302,11 +293,21 @@ class SpectralWeight:
         return x * hx / math.sin(math.pi * x)
 
 
+def _check_odd_T(T) -> int:
+    """T as an int, for the one rule on T: an odd integer >= 3, given as any
+    number of integral value (5, 5.0 and np.int64(5) alike); DomainError for
+    anything else, a non-integral T included."""
+    try:
+        t = int(T)
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t is None or t != T or t < 3 or t % 2 == 0:
+        raise DomainError(f"T must be an odd integer >= 3, got {T!r}")
+    return t
+
+
 def make_spectral_weight(family: WeightFamily, T: int) -> SpectralWeight:
-    T = int(T)
-    if T <= 1 or T % 2 == 0:
-        raise DomainError("T must be an odd integer > 1")
-    return SpectralWeight(family=family, T=T)
+    return SpectralWeight(family=family, T=_check_odd_T(T))
 
 
 # ----------------------------------------------------------------------------

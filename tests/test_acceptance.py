@@ -242,7 +242,7 @@ def test_criterion_7_rmt_suite():
 def test_criterion_8_density_convergence():
     T_list = [11, 21, 41, 81]
     reports, _flags = md.convergence_scan(
-        T_list, [0.8, 1.2], md.make_test_function, c_max=150
+        T_list, [0.8, 1.2], c_max=150
     )
     dev = {(r.T, r.eta): r.deviation for r in reports}
     chain = [dev[(T, 0.8)] for T in T_list]

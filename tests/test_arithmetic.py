@@ -1,4 +1,4 @@
-"""Sieve, Kloosterman sums, and Hecke-eigenvalue algebra."""
+"""Sieve, Kloosterman sums and divisor sums."""
 
 import math
 
@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from maassdensity import arithmetic
 from maassdensity.arithmetic import (
     divisor_sigma_complex,
-    hecke_prime_power,
     kloosterman_sum,
     kloosterman_sum_check,
     kloosterman_sums,
     primes_up_to,
-    satake_from_lambda,
 )
 from maassdensity.errors import DomainError
 
@@ -109,30 +107,3 @@ def test_divisor_sigma():
     b = divisor_sigma_complex(30, -0.7j)
     assert abs(a - b.conjugate()) < 1e-12
 
-
-def test_satake_pair():
-    for lam in (0.0, 1.3, -1.9, 2.5, -3.0):
-        a, b = satake_from_lambda(lam)
-        assert abs(a * b - 1.0) < 1e-12
-        assert abs(a + b - lam) < 1e-12
-        if abs(lam) <= 2.0:
-            assert abs(abs(a) - 1.0) < 1e-12
-
-
-def test_hecke_prime_power_chebyshev_oracle():
-    # lambda = 2 cos(theta) gives lambda_{p^k} = sin((k+1) theta)/sin(theta)
-    theta = 1.1
-    lam = 2.0 * math.cos(theta)
-    for k in range(0, 8):
-        want = math.sin((k + 1) * theta) / math.sin(theta)
-        assert hecke_prime_power(lam, k) == pytest.approx(want, abs=1e-10)
-
-
-def test_hecke_recursion_direct():
-    lam = 1.7
-    assert hecke_prime_power(lam, 0) == 1.0
-    assert hecke_prime_power(lam, 1) == lam
-    assert hecke_prime_power(lam, 2) == pytest.approx(lam * lam - 1.0)
-    assert hecke_prime_power(lam, 3) == pytest.approx(lam ** 3 - 2.0 * lam)
-    with pytest.raises(DomainError):
-        hecke_prime_power(lam, -1)

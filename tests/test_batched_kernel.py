@@ -342,7 +342,7 @@ def test_fill_lambdas_matches_one_m_fills():
 
 
 def test_convergence_scan_matches_separate_reports():
-    reports, _ = convergence_scan([11], [0.8, 1.2], make_test_function)
+    reports, _ = convergence_scan([11], [0.8, 1.2])
     engine = DensityEngine(11)
     for rep in reports:
         alone = explicit_formula_average(11, make_test_function(rep.eta), engine=engine)

@@ -134,6 +134,15 @@ def test_calibration_gate_catches_wrong_constant(monkeypatch):
         bt.dj_residue_sum(1.0, 5)
 
 
+def test_souped_up_scan_is_calibrated(monkeypatch):
+    # the M = 12 scan takes its values from the residue route, so a wrong
+    # residue constant stops it as it stops dj_residue_sum
+    monkeypatch.setattr(bt, "_C1", -1.02j)
+    bt._ensure_calibrated.cache_clear()
+    with pytest.raises(CalibrationError):
+        bt.bound_scan("souped_up", grid=[(0.5, 11)])
+
+
 def test_residue_evaluator_for_non_default_family():
     # calibration must compare the family's own residue against quadrature
     # of that same family's h_T

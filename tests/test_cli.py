@@ -1,9 +1,12 @@
 """CLI surface: exit codes, config precedence, deterministic artifacts."""
 
+import ast
+import inspect
 import json
 
 import pytest
 
+from maassdensity import cli
 from maassdensity.besseltransform import dj_residue_sum
 from maassdensity.cli import _resolve_config, build_parser, main
 from maassdensity.weights import make_weight_family
@@ -134,3 +137,51 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_invalid_weight_config_exits_2(capsys):
     rc = main(["total-mass", "--T", "5", "--M", "10"])
     assert rc == 2
+
+
+# the flags behind each configuration key a handler reads; data_path has
+# none (--maass-data is read from args), and --config serves every subcommand
+_FLAGS_OF_KEY = {"family": {"M", "bump_halfwidth"}, "c_max": {"c_max"},
+                 "tol": {"tol"}, "data_path": set()}
+
+
+def _options_read(fn) -> set:
+    """Option dests that fn, and the cli helpers it calls, read: args.x,
+    getattr(args, "x"), cfg["key"] and cfg.get("key")."""
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
+            read |= _FLAGS_OF_KEY[node.slice.value]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "getattr" and getattr(node.args[0], "id", None) == "args":
+                read.add(node.args[1].value)
+            elif node.func.id.startswith("_") and callable(getattr(cli, node.func.id, None)):
+                read |= _options_read(getattr(cli, node.func.id))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "cfg" and node.func.attr == "get"):
+            read |= _FLAGS_OF_KEY[node.args[0].value]
+    return read
+
+
+def test_each_subcommand_registers_the_options_its_handler_reads():
+    [subparsers] = [a for a in build_parser()._actions if a.dest == "command"]
+    assert len(subparsers.choices) == 9
+    for name, sp in subparsers.choices.items():
+        registered = {a.dest for a in sp._actions} - {"help", "config"}
+        assert registered == _options_read(sp.get_default("func")), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--group", "o", "--eta", "0.8", "--c-max", "5"],
+    ["kernels", "--group", "o", "--eta", "0.8", "--M", "12"],
+    ["kernels", "--group", "o", "--eta", "0.8", "--bump-halfwidth", "0.1"],
+    ["validate-data", "--M", "12"],
+    ["bessel-int", "--X", "1", "--T", "5", "--c-max", "5"],
+    ["bound-scan", "--which", "small_X", "--c-max", "5"],
+])
+def test_a_flag_its_subcommand_ignores_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -136,7 +136,7 @@ def test_convergence_scan_cost_guard_before_any_engine(monkeypatch):
 
     monkeypatch.setattr(DensityEngine, "__init__", no_engine)
     with pytest.raises(DomainError):
-        convergence_scan([81], [0.8, 1.9], make_test_function)
+        convergence_scan([81], [0.8, 1.9])
 
 
 def test_thresholds():
@@ -148,21 +148,21 @@ def test_thresholds():
 
 def test_convergence_scan_flags_and_validation(engine11):
     with pytest.raises(DomainError):
-        convergence_scan([10], [0.5], make_test_function)
+        convergence_scan([10], [0.5])
     with pytest.raises(DomainError):
-        convergence_scan([11], [2.0], make_test_function)
-    reports, flags = convergence_scan([11], [0.5, 1.3], make_test_function, c_max=120)
+        convergence_scan([11], [2.0])
+    reports, flags = convergence_scan([11], [0.5, 1.3], c_max=120)
     assert len(reports) == 2
     assert len(flags) == 1 and flags[0][1] == 1.3
 
 
 def test_convergence_scan_flag_names_the_family_order():
     family = make_weight_family(12)
-    _, flags = convergence_scan([], [1.3], make_test_function, family=family)
+    _, flags = convergence_scan([], [1.3], family=family)
     [(_, eta, message)] = flags
     assert eta == 1.3
     assert f"< {extended_threshold(12):.4f} requires higher order" in message
-    _, [(_, _, default_message)] = convergence_scan([], [1.3], make_test_function)
+    _, [(_, _, default_message)] = convergence_scan([], [1.3])
     assert f"< {extended_threshold(8):.4f} requires higher order" in default_message
 
 

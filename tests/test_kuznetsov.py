@@ -57,6 +57,26 @@ def test_weights_are_even_and_positive_where_expected():
         assert np.all(w.eval(grid) >= 0.0)
 
 
+EVEN_WEIGHTS = (
+    weight_spectral(5),
+    weight_log_conductor(11),
+    weight_gaussian(4.0, 1.5),
+    weight_combination([(0.5, weight_spectral(5)), (-2.0, weight_gaussian(3.0, 1.0))]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 400.0)), min_size=1, max_size=8))
+def test_weights_are_even_bit_for_bit(rs):
+    # eval reads only |r|, so no weight of the catalogue needs a runtime
+    # evenness check: r and -r give the same bits. The grid skips
+    # 0 < |r| < 1e-300: at subnormal |r|/T, h_T_real's
+    # exp(2 logs - log_sinh) overflows, at either sign.
+    r = np.array(rs)
+    for w in EVEN_WEIGHTS:
+        assert np.array_equal(w.eval(r).view(np.int64), w.eval(-r).view(np.int64))
+
+
 def test_weight_combination_linearity_on_geometric_side():
     w1 = weight_gaussian(6.0, 1.0)
     w2 = weight_gaussian(11.0, 2.0)

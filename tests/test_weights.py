@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import maassdensity.besseltransform as bt
+from maassdensity import density, kuznetsov
 from maassdensity.errors import DomainError, OverflowGuardError, PoleError
+from maassdensity.rmt import make_test_function
 from maassdensity.weights import (
     bump,
     default_family,
@@ -34,6 +37,24 @@ def test_constructor_validation():
         make_weight_family(4, 0.125)  # below the minimum order
     with pytest.raises(DomainError):
         make_weight_family(8, 0.2)  # halfwidth above 1/8
+
+
+@pytest.mark.parametrize("w", [0.125, 0.0625, 1e-3])
+def test_bump_rule_agrees_with_twice_its_order(w):
+    # every family integrates s over one 256-node rule; doubling its order
+    # must move s by < 1e-13 of its size at six probes on and off the real
+    # line
+    probes = [0.0, 0.77, 1.5, 3.2, 2.0j, 0.9 + 1.1j]
+
+    def s_at_probes(xi, wb):
+        return np.array([np.dot(wb, np.exp(2j * math.pi * p * xi)) for p in probes])
+
+    fam = make_weight_family(8, w)
+    assert fam._xi.size == 256
+    x, gw = gauss_legendre(512)
+    ref = s_at_probes(x * w, gw * w * bump(x))
+    got = s_at_probes(fam._xi, fam._wb)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_s_matches_direct_quadrature():
@@ -186,3 +207,44 @@ def test_gauss_legendre_bit_identical_to_leggauss(n):
     assert np.array_equal(w.view(np.uint64), w0.view(np.uint64))
     assert not x.flags.writeable and not w.flags.writeable
     assert gauss_legendre(n)[0] is x  # cached per n
+
+
+_PHI = make_test_function(0.8)
+_TAKES_T = {
+    "make_spectral_weight": lambda T: make_spectral_weight(FAM, T),
+    "dj_quadrature": lambda T: bt.dj_quadrature(1.0, T),
+    "dj_residue_sum": lambda T: bt.dj_residue_sum(1.0, T),
+    "dj_residue_sum at X = 0": lambda T: bt.dj_residue_sum(0.0, T),
+    "dj_asymptotic": lambda T: bt.dj_asymptotic(1.0, T),
+    "sj_direct": lambda T: bt.sj_direct(1.0, T),
+    "sj_direct at X = 0": lambda T: bt.sj_direct(0.0, T),
+    "sj_alpha_expansion": lambda T: bt.sj_alpha_expansion(1.0, T),
+    "stationary_phase_sums": lambda T: bt.stationary_phase_sums(0.1, T),
+    "ResidueEvaluator": lambda T: bt.ResidueEvaluator(FAM, T, 1.0),
+    "bound_scan": lambda T: bt.bound_scan("small_X", grid=[(0.5, T)]),
+    "weight_spectral": lambda T: kuznetsov.weight_spectral(T),
+    "weight_log_conductor": lambda T: kuznetsov.weight_log_conductor(T),
+    "total_mass": lambda T: kuznetsov.total_mass(T, c_max=10),
+    "averaged_eigenvalue": lambda T: kuznetsov.averaged_eigenvalue(2, T, c_max=10),
+    "averaged_eigenvalue at m = 1": lambda T: kuznetsov.averaged_eigenvalue(1, T),
+    "DensityEngine": lambda T: density.DensityEngine(T),
+    "explicit_formula_average": lambda T: density.explicit_formula_average(T, _PHI),
+    "convergence_scan": lambda T: density.convergence_scan([T], [0.8]),
+}
+
+
+@pytest.mark.parametrize("T", [5.5, 4, 1, -3])
+@pytest.mark.parametrize("entry", sorted(_TAKES_T))
+def test_every_entry_point_taking_t_rejects_a_bad_t(entry, T):
+    # one rule (weights._check_odd_T): an odd integer >= 3; a non-integral
+    # T is rejected, not truncated
+    with pytest.raises(DomainError):
+        _TAKES_T[entry](T)
+
+
+def test_t_of_integral_value_is_accepted_as_an_int():
+    for T in (5, 5.0, np.int64(5)):
+        sw = make_spectral_weight(FAM, T)
+        assert sw.T == 5 and type(sw.T) is int
+        assert kuznetsov.weight_spectral(T).description == "h_T, T=5"
+        assert bt.dj_residue_sum(1.0, T).value == bt.dj_residue_sum(1.0, 5).value
