@@ -1,5 +1,5 @@
-"""Elementary arithmetic ingredients: primes, Kloosterman sums and
-complex-order divisor sums."""
+"""Elementary arithmetic ingredients: primes, Kloosterman sums (over a
+batch of m and every modulus up to c_max) and complex-order divisor sums."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .errors import DomainError, VerificationError
 
 __all__ = [
     "primes_up_to",
-    "kloosterman_sum",
     "kloosterman_sums",
     "divisor_sigma_complex",
 ]
@@ -100,11 +99,13 @@ def _kloosterman_rows(a: np.ndarray, n: int, c: int) -> np.ndarray:
 
 
 def kloosterman_sums(ms, n: int, c_max: int) -> np.ndarray:
-    """[S(m_i, n; c)] for c = 1, ..., c_max: row i, column c - 1.
+    """[S(m_i, n; c)] for c = 1, ..., c_max: row i, column c - 1, with
+    S(m, n; c) = sum over units x mod c of e((m x + n xbar)/c), which is
+    real (x -> -x pairs the terms).
 
     Each modulus c makes one kernel call, on the distinct residues of the
-    m_i mod c, so it costs at most c rows; each entry equals
-    kloosterman_sum(m_i, n, c) bit for bit. A single m skips the dedupe.
+    m_i mod c, so it costs at most c rows; an entry's bits do not depend on
+    the other m_i. A single m skips the dedupe.
     """
     ms = np.asarray(ms, dtype=np.int64).ravel()
     n, c_max = int(n), _check_modulus(c_max)
@@ -116,18 +117,6 @@ def kloosterman_sums(ms, n: int, c_max: int) -> np.ndarray:
             res, where = np.unique(ms % c, return_inverse=True)
             out[:, c - 1] = _kloosterman_rows(res, n % c, c)[where]
     return out
-
-
-def kloosterman_sum(m: int, n: int, c: int) -> float:
-    """S(m, n; c) = sum over units x mod c of e((m x + n xbar)/c).
-
-    The sum is real (x -> -x pairs the terms), so only the cosine part is
-    summed.
-    """
-    m, n, c = int(m), int(n), _check_modulus(c)
-    if c == 1:
-        return 1.0
-    return float(_kloosterman_rows(np.array([m % c]), n % c, c)[0])
 
 
 def kloosterman_sum_check(m: int, n: int, c: int) -> float:

@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Every subcommand is a reproducible batch run: the same resolved
-configuration produces byte-identical output files. Configuration
-precedence is flags > --config JSON > environment variables > defaults
-(M = 8, bump_halfwidth = 1/8, tol = 1e-8, c_max = 1000). A subcommand
-takes only the flags it reads: --M and --bump-halfwidth all but kernels and
-validate-data, --c-max trace-verify, total-mass, avg-lambda, density and
-converge, and --tol bessel-int alone. Any other flag exits 2.
+Every subcommand is a reproducible batch run: the same flags produce
+byte-identical output files. Flags are the only settings; each has its
+default in the parser (M = 8, bump_halfwidth = 1/8, tol = 1e-8, c_max =
+1000, and c_max = 500 for density and converge, which take no larger
+value). A subcommand takes only the flags it reads: --M and
+--bump-halfwidth all but kernels and validate-data, --c-max trace-verify,
+total-mass, avg-lambda, density and converge, and --tol bessel-int alone.
+Any other flag exits 2.
 
-Environment variables: MAASS_M, MAASS_BUMP_HALFWIDTH, MAASS_TOL,
-MAASS_C_MAX, MAASS_DATA_DIR.
+MAASS_DATA_DIR names the eigenform export that trace-verify and
+validate-data read when --maass-data is not given.
 """
 
 from __future__ import annotations
@@ -29,49 +30,11 @@ from .errors import (
 )
 from .weights import make_weight_family
 
-_ENV_KEYS = {
-    "M": ("MAASS_M", int),
-    "bump_halfwidth": ("MAASS_BUMP_HALFWIDTH", float),
-    "tol": ("MAASS_TOL", float),
-    "c_max": ("MAASS_C_MAX", int),
-    "data_path": ("MAASS_DATA_DIR", str),
-}
-
-_DEFAULTS = {
-    "M": 8,
-    "bump_halfwidth": 0.125,
-    "tol": 1e-8,
-    "c_max": 1000,
-    "data_path": None,
-}
+_DENSITY_C_MAX = 500  # the largest --c-max that density and converge take
 
 
-def _resolve_config(args) -> dict:
-    """flags > --config JSON > env vars > defaults; cfg["family"] is the
-    weight family of the resolved M and bump_halfwidth."""
-    cfg = dict(_DEFAULTS)
-    for key, (env, cast) in _ENV_KEYS.items():
-        raw = os.environ.get(env)
-        if raw is not None:
-            cfg[key] = cast(raw)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-        if not isinstance(blob, dict):
-            raise DataFormatError("--config must contain a JSON object")
-        for key in _DEFAULTS:
-            if key in blob:
-                cfg[key] = blob[key]
-        unknown = set(blob) - set(_DEFAULTS)
-        if unknown:
-            raise DataFormatError(f"unknown config keys: {sorted(unknown)}")
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg["family"] = make_weight_family(int(cfg["M"]), float(cfg["bump_halfwidth"]))
-    return cfg
+def _family(args):
+    return make_weight_family(args.M, args.bump_halfwidth)
 
 
 def _write_output(args, text: str):
@@ -81,8 +44,8 @@ def _write_output(args, text: str):
             fh.write(text)
 
 
-def _load_records(args, cfg):
-    path = getattr(args, "maass_data", None) or cfg.get("data_path")
+def _load_records(args):
+    path = getattr(args, "maass_data", None) or os.environ.get("MAASS_DATA_DIR")
     if path is None:
         return None, None
     if os.path.isdir(path):
@@ -101,12 +64,12 @@ def _load_records(args, cfg):
 # ----------------------------------------------------------------------------
 
 
-def _cmd_bessel_int(args, cfg) -> int:
-    X, T, family = float(args.X), int(args.T), cfg["family"]
+def _cmd_bessel_int(args) -> int:
+    X, T, family = float(args.X), int(args.T), _family(args)
     results = {}
     if args.method in ("quadrature", "all"):
         results["quadrature"] = besseltransform.dj_quadrature(
-            X, T, tol=max(float(cfg["tol"]) * 1e-2, 1e-12), family=family
+            X, T, tol=max(args.tol * 1e-2, 1e-12), family=family
         )
     if args.method in ("residue", "all"):
         results["residue"] = besseltransform.dj_residue_sum(X, T, family)
@@ -134,8 +97,8 @@ def _cmd_bessel_int(args, cfg) -> int:
     return 0
 
 
-def _cmd_bound_scan(args, cfg) -> int:
-    report = besseltransform.bound_scan(args.which, family=cfg["family"])
+def _cmd_bound_scan(args) -> int:
+    report = besseltransform.bound_scan(args.which, family=_family(args))
     csv_text = report.to_csv()
     _write_output(args, csv_text)
     flagged = f", {len(report.flagged)} flagged" if report.flagged else ""
@@ -148,25 +111,23 @@ def _cmd_bound_scan(args, cfg) -> int:
     return 0
 
 
-def _make_weight(args, cfg):
-    if args.weight == "gaussian":
-        return kuznetsov.weight_gaussian(args.center, args.width)
-    return kuznetsov.weight_spectral(int(args.T), cfg["family"])
-
-
-def _cmd_trace_verify(args, cfg) -> int:
-    records, path = _load_records(args, cfg)
+def _cmd_trace_verify(args) -> int:
+    family = _family(args)  # built first: a bad --M exits 2 whatever the weight
+    records, path = _load_records(args)
     if records is None:
         raise DomainError(
             "trace-verify needs spectral data (--maass-data or MAASS_DATA_DIR)"
         )
-    weight = _make_weight(args, cfg)
+    if args.weight == "gaussian":
+        weight = kuznetsov.weight_gaussian(args.center, args.width)
+    else:
+        weight = kuznetsov.weight_spectral(int(args.T), family)
     report = kuznetsov.verify_trace_identity(
         int(args.m),
         int(args.n),
         weight,
         records,
-        c_max=int(cfg["c_max"]),
+        c_max=args.c_max,
     )
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     _write_output(args, text)
@@ -178,32 +139,28 @@ def _cmd_trace_verify(args, cfg) -> int:
     return 0
 
 
-def _cmd_total_mass(args, cfg) -> int:
+def _cmd_total_mass(args) -> int:
     T = int(args.T)
-    mass = kuznetsov.total_mass(T, c_max=int(cfg["c_max"]), family=cfg["family"])
+    mass = kuznetsov.total_mass(T, c_max=args.c_max, family=_family(args))
     text = f"total_mass({T}) = {mass!r}  mass/T^2 = {mass / T ** 2!r}\n"
     print(text, end="")
     _write_output(args, text)
     return 0
 
 
-def _cmd_avg_lambda(args, cfg) -> int:
+def _cmd_avg_lambda(args) -> int:
     T, m = int(args.T), int(args.m)
-    avg = kuznetsov.averaged_eigenvalue(
-        m, T, c_max=int(cfg["c_max"]), family=cfg["family"]
-    )
+    avg = kuznetsov.averaged_eigenvalue(m, T, c_max=args.c_max, family=_family(args))
     text = f"Avg(lambda_{m}) at T={T}: {avg!r}\n"
     print(text, end="")
     _write_output(args, text)
     return 0
 
 
-def _cmd_density(args, cfg) -> int:
-    T = int(args.T)
+def _cmd_density(args) -> int:
+    T, family = int(args.T), _family(args)
     phi = rmt.make_test_function(float(args.eta))
-    rep = density.explicit_formula_average(
-        T, phi, c_max=min(int(cfg["c_max"]), 500), family=cfg["family"]
-    )
+    rep = density.explicit_formula_average(T, phi, c_max=args.c_max, family=family)
     csv_text = density.reports_to_csv([rep])
     _write_output(args, csv_text)
     print(
@@ -215,11 +172,12 @@ def _cmd_density(args, cfg) -> int:
     return 0
 
 
-def _cmd_converge(args, cfg) -> int:
+def _cmd_converge(args) -> int:
+    family = _family(args)
     T_list = [int(t) for t in args.T_list.split(",")]
     eta_list = [float(e) for e in args.eta_list.split(",")]
     reports, flags = density.convergence_scan(
-        T_list, eta_list, c_max=min(int(cfg["c_max"]), 500), family=cfg["family"]
+        T_list, eta_list, c_max=args.c_max, family=family
     )
     _write_output(args, density.reports_to_csv(reports))
     if args.split_output:
@@ -237,7 +195,7 @@ def _cmd_converge(args, cfg) -> int:
     return 0
 
 
-def _cmd_kernels(args, cfg) -> int:
+def _cmd_kernels(args) -> int:
     group = rmt.group_from_name(args.group)
     phi = rmt.make_test_function(float(args.eta))
     expected = rmt.rmt_expected_value(phi, group)
@@ -254,8 +212,8 @@ def _cmd_kernels(args, cfg) -> int:
     return 0
 
 
-def _cmd_validate_data(args, cfg) -> int:
-    records, path = _load_records(args, cfg)
+def _cmd_validate_data(args) -> int:
+    records, path = _load_records(args)
     if records is None:
         raise DomainError(
             "validate-data needs a data file (--maass-data or MAASS_DATA_DIR)"
@@ -286,15 +244,26 @@ def _cmd_validate_data(args, cfg) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _add_common(sp, family: bool = True, c_max: bool = True):
-    """--config and --output; the weight-family flags and --c-max only
-    where the subcommand reads them."""
-    sp.add_argument("--config", help="JSON config file")
+def _density_c_max(text: str) -> int:
+    c_max = int(text)
+    if c_max > _DENSITY_C_MAX:
+        raise argparse.ArgumentTypeError(
+            f"density and converge take c_max <= {_DENSITY_C_MAX}, got {c_max}")
+    return c_max
+
+
+def _add_common(sp, family: bool = True, c_max: int | None = 1000):
+    """--output; the weight-family flags and --c-max only where the
+    subcommand reads them. c_max is the default of --c-max, and also its
+    cap where it is _DENSITY_C_MAX."""
     if family:
-        sp.add_argument("--M", type=int, help="weight order (multiple of 4, >= 8)")
-        sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float)
-    if c_max:
-        sp.add_argument("--c-max", dest="c_max", type=int)
+        sp.add_argument("--M", type=int, default=8,
+                        help="weight order (multiple of 4, >= 8)")
+        sp.add_argument("--bump-halfwidth", dest="bump_halfwidth", type=float,
+                        default=0.125)
+    if c_max is not None:
+        sp.add_argument("--c-max", dest="c_max", default=c_max,
+                        type=_density_c_max if c_max == _DENSITY_C_MAX else int)
     sp.add_argument("--output", help="write the primary artifact here")
 
 
@@ -314,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument(
-        "--tol", type=float,
+        "--tol", type=float, default=1e-8,
         help="quadrature tolerance (the quadrature runs at tol/100)",
     )
-    _add_common(p, c_max=False)
+    _add_common(p, c_max=None)
     p.set_defaults(func=_cmd_bessel_int)
 
     p = sub.add_parser("bound-scan", help="empirical decay-bound ratio scan")
@@ -326,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(besseltransform._DEFAULT_GRIDS),
         required=True,
     )
-    _add_common(p, c_max=False)
+    _add_common(p, c_max=None)
     p.set_defaults(func=_cmd_bound_scan)
 
     p = sub.add_parser("trace-verify", help="spectral vs geometric side")
@@ -354,26 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="one-level density at a single (T, eta)")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
-    _add_common(p)
+    _add_common(p, c_max=_DENSITY_C_MAX)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("converge", help="density scan over a (T, eta) grid")
     p.add_argument("--T-list", dest="T_list", required=True, help="comma-separated")
     p.add_argument("--eta-list", dest="eta_list", required=True)
     p.add_argument("--split-output", dest="split_output")
-    _add_common(p)
+    _add_common(p, c_max=_DENSITY_C_MAX)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("kernels", help="symmetry-type density and prediction")
     p.add_argument("--group", required=True, help="so-even, so-odd, o, u, sp")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--x", type=float, help="also evaluate the density at x")
-    _add_common(p, family=False, c_max=False)
+    _add_common(p, family=False, c_max=None)
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("validate-data", help="check an eigenform export")
     p.add_argument("--maass-data", dest="maass_data")
-    _add_common(p, family=False, c_max=False)
+    _add_common(p, family=False, c_max=None)
     p.set_defaults(func=_cmd_validate_data)
 
     return parser
@@ -383,8 +352,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        return args.func(args)
     except (VerificationError, CalibrationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         report = getattr(exc, "report", None)

@@ -495,7 +495,7 @@ def verify_trace_identity(
     budget = tail + geom.error_budget + 1e-3 * max(abs(spec), abs(geom.total()), 1e-12)
     report["gap"] = gap
     report["combined_budget"] = budget
-    report["pass"] = gap <= budget
+    report["pass"] = bool(gap <= budget)
     if not report["pass"]:
         raise VerificationError(
             f"trace identity fails for (m, n) = ({m}, {n}): gap {gap:.3e} "

@@ -4,6 +4,10 @@ of the 1-line, and the large-order phase.
 The imaginary-order Bessel function is only ever exposed pre-scaled by
 1/cosh(pi*r); the unscaled J_{2ir} overflows binary64 already for r around
 230 and every downstream use carries the cosh factor anyway.
+
+Log-gamma and the Bessel function are evaluated over arrays only
+(`log_gamma_grid`, `scaled_bessel_j_imag_grid`); a single point is a
+one-element array. `zeta_right_of_one` is the one scalar entry point.
 """
 
 from __future__ import annotations
@@ -11,17 +15,13 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, OverflowGuardError, PoleError
 
 __all__ = [
-    "ScaledBesselValue",
-    "log_gamma_complex",
     "log_gamma_grid",
-    "scaled_bessel_j_imag",
     "scaled_bessel_j_imag_grid",
     "scaled_bessel_series_grid",
     "zeta_right_of_one",
@@ -33,7 +33,7 @@ __all__ = [
 _log = logging.getLogger("maassdensity")
 
 # Lanczos approximation, g = 7, 9 terms. Validated in the test suite against
-# the reflection and duplication identities and against 40-digit mpmath.
+# Gamma(1/2), |Gamma(1 + iy)|, the recurrence and 40-digit mpmath.
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
     0.99999999999980993,
@@ -68,41 +68,16 @@ _BERNOULLI_EVEN = (
 )
 
 
-def _check_finite(z: complex, what: str) -> complex:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise OverflowGuardError(f"{what} produced a non-finite value")
-    return z
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma via Lanczos, with reflection for Re z < 1/2.
-
-    For Re z >= 1/2 this is a one-element `log_gamma_grid` call, about
-    0.4 ms on a 2-vCPU VM; callers with many points pass them to
-    `log_gamma_grid` at once.
-    Raises PoleError at the non-positive integers. Accuracy is absolute, not
-    relative, and it degrades with |Im z|: on Re z = 1 against 40-digit
-    mpmath (20,000 points) the error is at most 8e-14 for Im z <= 12 and
-    2.4e-13, 3.1e-13, 3.8e-13 and 5.1e-13 at most on [12, 50], [50, 100],
-    [100, 150] and [150, 200] (median about 2e-13 above Im z = 12). The
-    double-double Bessel route therefore takes its prefactor from
-    `_log_gamma_stirling`, not from here.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"Gamma has a pole at z = {z.real:g}")
-    if z.real < 0.5:
-        # log Gamma(z) = log(pi) - log(sin(pi z)) - log Gamma(1 - z)
-        return _check_finite(
-            math.log(math.pi) - _log_sin_pi(z) - log_gamma_complex(1.0 - z),
-            "log_gamma_complex",
-        )
-    return complex(log_gamma_grid(np.array([z]))[0])
-
-
 def log_gamma_grid(z: np.ndarray) -> np.ndarray:
     """Principal log Gamma(z) over an array of z with Re z >= 1/2 (Lanczos,
-    g = 7, 9 terms); `log_gamma_complex` is its one-element view.
+    g = 7, 9 terms); DomainError left of 1/2, the poles included.
+
+    Accuracy is absolute, not relative, and it degrades with |Im z|: on
+    Re z = 1 against 40-digit mpmath (20,000 points) the error is at most
+    8e-14 for Im z <= 12 and 2.4e-13, 3.1e-13, 3.8e-13 and 5.1e-13 at most on
+    [12, 50], [50, 100], [100, 150] and [150, 200] (median about 2e-13 above
+    Im z = 12). The double-double Bessel route therefore takes its prefactor
+    from `_log_gamma_stirling`, not from here.
 
     The Lanczos sum runs on real arrays with CPython's complex formulas
     (`_c_prod`, `_c_quot`) and cmath.log is a per-element call on Python
@@ -184,19 +159,6 @@ def _map_blocks(f, *arrays, dtype=float) -> np.ndarray:
     return out
 
 
-def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)) stable for large |Im z|."""
-    piz = math.pi * z
-    if abs(z.imag) < 20.0:
-        return cmath.log(cmath.sin(piz))
-    # sin w = (e^{iw} - e^{-iw}) / 2i; keep the dominant exponential outside.
-    if z.imag > 0:
-        # sin w = (i/2) e^{-iw} (1 - e^{2iw})
-        return 0.5j * math.pi - math.log(2.0) - 1j * piz + cmath.log(1.0 - cmath.exp(2j * piz))
-    # sin w = -(i/2) e^{iw} (1 - e^{-2iw})
-    return -0.5j * math.pi - math.log(2.0) + 1j * piz + cmath.log(1.0 - cmath.exp(-2j * piz))
-
-
 def log_cosh(y):
     """log(cosh(y)) without overflow, elementwise over a float or an array."""
     a = np.abs(y)
@@ -210,15 +172,6 @@ def log_cosh(y):
 # ----------------------------------------------------------------------------
 # Imaginary-order Bessel J, pre-scaled by 1/cosh(pi r)
 # ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScaledBesselValue:
-    """J_{2ir}(x)/cosh(pi r) together with the point it was evaluated at."""
-
-    value: complex
-    r: float
-    x: float
 
 
 _SERIES_MAX_TERMS = 100_000
@@ -241,22 +194,6 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x)
 
 
-def scaled_bessel_j_imag(r: float, x: float) -> ScaledBesselValue:
-    """J_{2ir}(x)/cosh(pi r) for real r and x > 0: a one-node
-    `scaled_bessel_j_imag_grid` call.
-
-    A call costs about 0.5-13 ms on a 2-vCPU VM for x from 5 to 200: about
-    0.5 ms on the Hankel route, 1-2 ms on the series, 8-13 ms in the
-    transition band |2r| ~ x, where the double-double and fixed-point
-    routes run. That is far more than a node of a batch: callers with many
-    r at one x pass them to `scaled_bessel_j_imag_grid` at once.
-    """
-    r = float(r)
-    x = float(x)
-    value = complex(scaled_bessel_j_imag_grid(np.array([r]), x)[0])
-    return ScaledBesselValue(value=value, r=r, x=x)
-
-
 def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
     """J_{2ir_i}(x)/cosh(pi r_i) for every real r_i of an array, x > 0.
 
@@ -276,11 +213,11 @@ def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
     x = float(x)
     r = np.asarray(r, dtype=float)
     if not (math.isfinite(x) and x > 0.0):
-        raise DomainError("scaled_bessel_j_imag requires a finite x > 0")
+        raise DomainError("scaled_bessel_j_imag_grid requires a finite x > 0")
     if not np.all(np.isfinite(r)):
-        raise DomainError("scaled_bessel_j_imag requires finite r")
+        raise DomainError("scaled_bessel_j_imag_grid requires finite r")
     if np.any(np.abs(r) > 1.0e4):
-        raise DomainError("scaled_bessel_j_imag requires |r| <= 1e4")
+        raise DomainError("scaled_bessel_j_imag_grid requires |r| <= 1e4")
     flat = r.ravel()
     neg = flat < 0.0
     a = np.where(neg, -flat, flat)
@@ -986,7 +923,10 @@ def zeta_right_of_one(s: complex) -> complex:
         raise DomainError("zeta_right_of_one requires Re(s) >= 1")
     if s == 1.0:
         raise PoleError("zeta has its pole at s = 1")
-    return _check_finite(complex(_zeta_em(np.array([s]))[0]), "zeta_right_of_one")
+    z = complex(_zeta_em(np.array([s]))[0])
+    if not cmath.isfinite(z):
+        raise OverflowGuardError("zeta_right_of_one produced a non-finite value")
+    return z
 
 
 def zeta_abs2_grid(r: np.ndarray) -> np.ndarray:

@@ -276,10 +276,13 @@ class SpectralWeight:
             math.pi * ynz - math.log(2.0),
             np.log(np.sinh(np.minimum(math.pi * ynz, 30.0)) + (math.pi * ynz > 30.0)),
         )
+        # at subnormal y, -log_sinh passes 709 and exp overflows (inf * 0 =
+        # nan); y^{M+1} underflows to 0 long before, so the clamp changes no
+        # finite value
         out[nz] = (
             ynz ** (self.family.M + 1)
             * mant[nz] ** 2
-            * np.exp(2.0 * logs[nz] - log_sinh)
+            * np.exp(np.minimum(2.0 * logs[nz] - log_sinh, 709.0))
         )
         return float(out[0]) if scalar else out
 

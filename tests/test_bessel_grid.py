@@ -1,10 +1,9 @@
 """The batched imaginary-order Bessel grid and log Gamma: accuracy against
 40-digit mpmath, and batch independence.
 
-`scaled_bessel_j_imag` and `log_gamma_complex` are one-element calls of
-`scaled_bessel_j_imag_grid` and `log_gamma_grid` (milliseconds a call; pass
-many points to the grid), so the bit-for-bit tests here check that a node's
-bits do not depend on the batch it is in: at the X > 36 quadrature points
+The bit-for-bit tests here compare `scaled_bessel_j_imag_grid` and
+`log_gamma_grid` on a batch with one-element calls of the same function,
+so they check that a node's bits do not depend on the batch it is in: at the X > 36 quadrature points
 of D_J the weighted sum cancels by a factor of 2e8 to 5e10, so one ulp of
 noise per node would move D_J past its 1e-10 pin.
 """
@@ -26,12 +25,7 @@ import maassdensity.kuznetsov as kz
 import maassdensity.specfun as sf
 from maassdensity.errors import DomainError
 from maassdensity.kuznetsov import weight_gaussian
-from maassdensity.specfun import (
-    log_gamma_complex,
-    log_gamma_grid,
-    scaled_bessel_j_imag,
-    scaled_bessel_j_imag_grid,
-)
+from maassdensity.specfun import log_gamma_grid, scaled_bessel_j_imag_grid
 
 
 ROUTES = ("series", "hankel", "double_double", "fixed_point")
@@ -67,8 +61,8 @@ def _assert_bits_equal(got, want):
 
 
 def _scalar(r, x):
-    """Each node alone, through the scalar entry point (a one-node grid)."""
-    return np.array([scaled_bessel_j_imag(v, x).value for v in r])
+    """Each node alone, as a one-node grid."""
+    return np.array([scaled_bessel_j_imag_grid(np.array([v]), x)[0] for v in r])
 
 
 @settings(max_examples=25, deadline=None)
@@ -442,10 +436,9 @@ def test_grid_domain_errors():
     (-math.inf, 74.34),
 ])
 def test_non_finite_arguments_raise_domain_error(r, x):
-    with pytest.raises(DomainError):
-        scaled_bessel_j_imag(r, x)
-    with pytest.raises(DomainError):
-        scaled_bessel_j_imag_grid(np.array([2.0, r]), x)
+    for nodes in ([r], [2.0, r]):
+        with pytest.raises(DomainError):
+            scaled_bessel_j_imag_grid(np.array(nodes), x)
 
 
 @settings(max_examples=50, deadline=None)
@@ -455,7 +448,7 @@ def test_non_finite_arguments_raise_domain_error(r, x):
 )
 def test_log_gamma_grid_matches_scalar_bit_for_bit(zs):
     z = np.array([complex(a, b) for a, b in zs])
-    want = np.array([log_gamma_complex(v) for v in z])
+    want = np.array([log_gamma_grid(np.array([v]))[0] for v in z])
     _assert_bits_equal(log_gamma_grid(z), want)
 
 
@@ -480,7 +473,7 @@ def test_log_gamma_grid_against_mpmath(zs):
 )
 def test_tiny_arguments_give_finite_values(r, x):
     # subnormal x (where x/2 underflows or loses bits) and r, x below 1e-162
-    # (where 4 r^2 + x^2 underflows) through both entry points
+    # (where 4 r^2 + x^2 underflows), in a batch and node by node
     r = np.array(r)
     got = scaled_bessel_j_imag_grid(r, x)
     assert np.all(np.isfinite(got))

@@ -1,14 +1,15 @@
-"""CLI surface: exit codes, config precedence, deterministic artifacts."""
+"""CLI surface: exit codes, flags as the only settings, deterministic artifacts."""
 
 import ast
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
 from maassdensity import cli
 from maassdensity.besseltransform import dj_residue_sum
-from maassdensity.cli import _resolve_config, build_parser, main
+from maassdensity.cli import build_parser, main
 from maassdensity.weights import make_weight_family
 
 
@@ -102,20 +103,62 @@ def test_trace_verify_needs_data():
     assert main(["trace-verify", "--m", "1", "--n", "1"]) == 2
 
 
-def test_config_precedence(tmp_path, monkeypatch):
-    # the config file wins over the environment, a flag over both
-    def family(*argv):
-        args = build_parser().parse_args(["total-mass", "--T", "5", *argv])
-        return _resolve_config(args)["family"]
+SAMPLE = str(Path(cli.__file__).parent / "data" / "sample_forms.csv")
 
-    monkeypatch.delenv("MAASS_M", raising=False)
-    assert family().M == 8
-    monkeypatch.setenv("MAASS_M", "12")
-    assert family().M == 12
+
+def test_trace_verify_passing_identity_writes_its_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["trace-verify", "--maass-data", SAMPLE, "--center", "3", "--width", "1",
+               "--c-max", "300", "--output", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["pass"] is True
+    assert report["gap"] <= report["combined_budget"]
+    assert "gap" in capsys.readouterr().out
+
+
+def test_trace_verify_failing_identity_reports_on_stderr(capsys):
+    # the default Gaussian (centre 8) sees spectrum beyond the three sample forms
+    rc = main(["trace-verify", "--maass-data", SAMPLE])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: trace identity fails")
+    report = json.loads(err[err.index("\n{") + 1:])
+    assert report["pass"] is False
+
+
+def test_environment_sets_no_parameter(monkeypatch, capsys):
+    argv = ["total-mass", "--T", "5", "--c-max", "60"]
+    for var in ("MAASS_M", "MAASS_BUMP_HALFWIDTH", "MAASS_TOL", "MAASS_C_MAX"):
+        monkeypatch.delenv(var, raising=False)
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    for var, val in (("MAASS_M", "12"), ("MAASS_BUMP_HALFWIDTH", "0.1"),
+                     ("MAASS_TOL", "1e-3"), ("MAASS_C_MAX", "7")):
+        monkeypatch.setenv(var, val)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+
+
+def test_config_flag_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"M": 16}))
-    assert family("--config", str(cfg)).M == 16
-    assert family("--config", str(cfg), "--M", "8").M == 8
+    cfg.write_text(json.dumps({"M": 12}))
+    with pytest.raises(SystemExit) as exc:
+        main(["total-mass", "--T", "5", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--T", "5", "--eta", "0.8"],
+    ["converge", "--T-list", "5", "--eta-list", "0.8"],
+])
+def test_density_c_max_above_its_cap_exits_2(argv, capsys):
+    assert build_parser().parse_args(argv).c_max == 500
+    assert build_parser().parse_args(argv + ["--c-max", "500"]).c_max == 500
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--c-max", "1000"])
+    assert exc.value.code == 2
+    assert "c_max <= 500" in capsys.readouterr().err
 
 
 def test_bessel_int_passes_the_configured_family(capsys):
@@ -126,42 +169,23 @@ def test_bessel_int_passes_the_configured_family(capsys):
     assert want != dj_residue_sum(2.0, 11).value
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"M": 8, "frobnicate": 1}))
-    rc = main(["total-mass", "--T", "5", "--config", str(cfg)])
-    assert rc == 2
-    assert "unknown config keys" in capsys.readouterr().err
-
-
 def test_invalid_weight_config_exits_2(capsys):
     rc = main(["total-mass", "--T", "5", "--M", "10"])
     assert rc == 2
 
 
-# the flags behind each configuration key a handler reads; data_path has
-# none (--maass-data is read from args), and --config serves every subcommand
-_FLAGS_OF_KEY = {"family": {"M", "bump_halfwidth"}, "c_max": {"c_max"},
-                 "tol": {"tol"}, "data_path": set()}
-
-
 def _options_read(fn) -> set:
-    """Option dests that fn, and the cli helpers it calls, read: args.x,
-    getattr(args, "x"), cfg["key"] and cfg.get("key")."""
+    """Option dests that fn, and the cli helpers it calls, read: args.x and
+    getattr(args, "x")."""
     read = set()
     for node in ast.walk(ast.parse(inspect.getsource(fn))):
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
             read.add(node.attr)
-        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
-            read |= _FLAGS_OF_KEY[node.slice.value]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id == "getattr" and getattr(node.args[0], "id", None) == "args":
                 read.add(node.args[1].value)
             elif node.func.id.startswith("_") and callable(getattr(cli, node.func.id, None)):
                 read |= _options_read(getattr(cli, node.func.id))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and getattr(node.func.value, "id", None) == "cfg" and node.func.attr == "get"):
-            read |= _FLAGS_OF_KEY[node.args[0].value]
     return read
 
 
@@ -169,7 +193,7 @@ def test_each_subcommand_registers_the_options_its_handler_reads():
     [subparsers] = [a for a in build_parser()._actions if a.dest == "command"]
     assert len(subparsers.choices) == 9
     for name, sp in subparsers.choices.items():
-        registered = {a.dest for a in sp._actions} - {"help", "config"}
+        registered = {a.dest for a in sp._actions} - {"help"}
         assert registered == _options_read(sp.get_default("func")), name
 
 

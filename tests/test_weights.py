@@ -145,6 +145,13 @@ def test_spectral_weight_real_grid_matches_complex_eval():
         )
 
 
+def test_spectral_weight_real_grid_at_subnormal_r():
+    # y^{M+1} underflows to 0 long before exp(2 logs - log_sinh) overflows
+    sw = make_spectral_weight(FAM, 5)
+    got = sw.h_T_real(np.array([1e-310, 1e-300, -1e-310]))
+    assert got.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_g_tilde_parity_and_derivatives():
     # x^t g(x) has parity (-1)^{t+1}
     for t in (0, 1, 2):
