@@ -114,8 +114,12 @@ def kloosterman_sums(ms, n: int, c_max: int) -> np.ndarray:
         if ms.size == 1:
             out[:, c - 1] = _kloosterman_rows(ms % c, n % c, c)
         else:
-            res, where = np.unique(ms % c, return_inverse=True)
-            out[:, c - 1] = _kloosterman_rows(res, n % c, c)[where]
+            # the sorted distinct residues (np.unique would import numpy.ma)
+            rs = ms % c
+            seen = np.zeros(c, dtype=bool)
+            seen[rs] = True
+            res = np.flatnonzero(seen)
+            out[:, c - 1] = _kloosterman_rows(res, n % c, c)[np.searchsorted(res, rs)]
     return out
 
 

@@ -165,7 +165,10 @@ def _im_scaled_grid(r_nodes: np.ndarray, X: float) -> np.ndarray:
 
 def _dj_quad_pass(sw: SpectralWeight, X: float, r_max: float, wf: float) -> float:
     nodes, wts = _gl_panels(_osc_panel_edges(r_max, X, wf))
-    integrand = nodes * sw.h_T_real(nodes) * _im_scaled_grid(nodes, X)
+    # the Bessel values first: no node-length weight array is alive while
+    # the grid runs
+    im = _im_scaled_grid(nodes, X)
+    integrand = nodes * sw.h_T_real(nodes) * im
     return float(np.dot(wts, integrand))
 
 

@@ -194,6 +194,11 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x)
 
 
+# Bytes of the complex values of one node block of scaled_bessel_j_imag_grid:
+# 8192 nodes, whose route temporaries stay a few MB for any grid size.
+_GRID_BLOCK_BYTES = 128 * 1024
+
+
 def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
     """J_{2ir_i}(x)/cosh(pi r_i) for every real r_i of an array, x > 0.
 
@@ -204,11 +209,13 @@ def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
     nodes, the double-double series for the nodes still left (the
     transition band |2r| ~ x), and the exact fixed-point series for those
     it misses. A node that the fixed-point route's estimate also misses
-    raises ConvergenceError. Every route runs over all its nodes at once
-    with per-node state only; a node leaves the active arrays when its sum
-    stops, so a node's value does not depend on the batch it is in.
-    Satisfies value(-r, x) = conj(value(r, x)) exactly. The route counts go
-    to the "maassdensity" logger at DEBUG.
+    raises ConvergenceError. Every route runs over all the nodes of a block
+    of _GRID_BLOCK_BYTES // 16 at once with per-node state only; a node
+    leaves the active arrays when its sum stops, so a node's value does not
+    depend on the batch or the block it is in, and memory stays bounded for
+    any number of nodes. Satisfies value(-r, x) = conj(value(r, x)) exactly.
+    The route counts of the whole grid go to the "maassdensity" logger at
+    DEBUG, in one record.
     """
     x = float(x)
     r = np.asarray(r, dtype=float)
@@ -219,47 +226,59 @@ def scaled_bessel_j_imag_grid(r: np.ndarray, x: float) -> np.ndarray:
     if np.any(np.abs(r) > 1.0e4):
         raise DomainError("scaled_bessel_j_imag_grid requires |r| <= 1e4")
     flat = r.ravel()
-    neg = flat < 0.0
-    a = np.where(neg, -flat, flat)
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty(flat.shape, dtype=complex)
+    counts = dict.fromkeys(("series", "hankel", "double_double", "fixed_point"), 0)
+    missed = []  # |r| of the nodes that every route missed
+    step = _GRID_BLOCK_BYTES // 16
+    for lo in range(0, flat.size, step):
+        part = flat[lo:lo + step]
+        missed += np.abs(part[_grid_block(part, x, out[lo:lo + step], counts)]).tolist()
+    if missed:
+        raise ConvergenceError(
+            f"fixed-point Bessel series misses its target at x = {x!r} on "
+            f"{len(missed)} nodes, r = {missed[0]!r} first")
+    _log.debug(
+        "scaled Bessel grid at x = %(x)r: %(nodes)d nodes, %(series)d series, "
+        "%(hankel)d Hankel, %(double_double)d double-double, "
+        "%(fixed_point)d fixed-point",
+        {"x": x, "nodes": flat.size, **counts},
+    )
+    return out.reshape(r.shape)
+
+
+def _grid_block(r: np.ndarray, x: float, out: np.ndarray, counts: dict):
+    """scaled_bessel_j_imag_grid on one block of nodes r, written to out;
+    adds the block's route counts to counts and returns the indices of the
+    nodes that every route missed."""
+    neg = r < 0.0
+    a = np.where(neg, -r, r)
     target = _TARGET_REL * _scale_estimate(a, x)
     plausible = (x <= 36.0) | (8.0 * a >= x * x / 12.0)
+    pending = np.ones(a.size, dtype=bool)  # the nodes without a value yet
 
     def take(idx, val, err):
         """Store the nodes of idx whose route result (val, err) meets the
         target; return the indices of the others."""
         ok = err <= target[idx]
         out[idx[ok]] = val[ok]
+        pending[idx[ok]] = False
         return idx[~ok]
 
     idx = np.flatnonzero(plausible)
-    left = take(idx, *_series_batch(a[idx], x))
-    n_series = idx.size - left.size
-    n_hankel = 0
+    counts["series"] += idx.size - take(idx, *_series_batch(a[idx], x)).size
     if x > 20.0:
-        idx = np.union1d(left, np.flatnonzero(~plausible))
+        idx = np.flatnonzero(pending)
         left = take(idx, *_hankel_batch(a[idx], x))
-        n_hankel = idx.size - left.size
+        counts["hankel"] += idx.size - left.size
         idx = left[~plausible[left]]
-        late = take(idx, *_series_batch(a[idx], x))
-        n_series += idx.size - late.size
-        left = np.union1d(left[plausible[left]], late)
-    idx = left
+        counts["series"] += idx.size - take(idx, *_series_batch(a[idx], x)).size
+    idx = np.flatnonzero(pending)
     left = take(idx, *_series_dd_batch(a[idx], x, target[idx]))
+    counts["double_double"] += idx.size - left.size
     missed = take(left, *_series_fixed_batch(a[left], x))
-    if missed.size:
-        raise ConvergenceError(
-            f"fixed-point Bessel series misses its target at x = {x!r} on "
-            f"{missed.size} nodes, r = {float(a[missed[0]])!r} first")
+    counts["fixed_point"] += left.size - missed.size
     out[neg] = out[neg].conj()
-    _log.debug(
-        "scaled Bessel grid at x = %(x)r: %(nodes)d nodes, %(series)d series, "
-        "%(hankel)d Hankel, %(double_double)d double-double, "
-        "%(fixed_point)d fixed-point",
-        {"x": x, "nodes": a.size, "series": n_series, "hankel": n_hankel,
-         "double_double": idx.size - left.size, "fixed_point": left.size},
-    )
-    return out.reshape(r.shape)
+    return missed
 
 
 def _series_batch(r: np.ndarray, x: float):
@@ -801,7 +820,10 @@ def scaled_bessel_series_grid(r: np.ndarray, x: float) -> np.ndarray:
         raise DomainError("scaled_bessel_series_grid is limited to x <= 36")
     if not x > 0.0:
         raise DomainError("x must be positive")
-    return _series_grid_sum(_series_grid_prefactor(r), x)
+    nu, lg, lc = _series_grid_prefactor(r)
+    term = np.exp(nu * _log_half(x) - lg - lc)
+    del lg, lc  # the loop needs only nu and the leading term
+    return _series_grid_loop(nu, term, x)
 
 
 def _series_grid_prefactor(r: np.ndarray) -> tuple:
@@ -816,8 +838,15 @@ def _series_grid_prefactor(r: np.ndarray) -> tuple:
 def _series_grid_sum(pre: tuple, x: float) -> np.ndarray:
     """The power series of J_{2ir}(x)/cosh(pi r) on the nodes of `pre`."""
     nu, lg, lc = pre
-    log_t0 = nu * _log_half(x) - lg - lc
-    term = np.exp(log_t0)
+    return _series_grid_loop(nu, np.exp(nu * _log_half(x) - lg - lc), x)
+
+
+def _series_grid_loop(nu: np.ndarray, term: np.ndarray, x: float) -> np.ndarray:
+    """The power series from its leading term, with one stop for the whole
+    grid. Not blocked: besides the stop, numpy's complex multiply gives
+    other bits with its operands swapped, which its temporary elision does
+    from 16,384 elements up, so blocks would move the bits of a larger
+    grid's nodes."""
     acc = term.copy()
     q = -0.25 * x * x
     for n in range(1, 400):

@@ -60,6 +60,15 @@ def _block_rows(k: int) -> int:
     return max(4, _ROW_BLOCK_BYTES // (16 * k) // 4 * 4)
 
 
+def _row_block_edges(n: int, rows: int, per: int = 1):
+    """(lo, hi) of runs of per blocks of rows rows over n rows, the last
+    run with the remainder: the blocking of _transform_rows (per = 1), so
+    a caller that cuts on these edges keeps every row in its block."""
+    blocks = max(1, n // rows)
+    for b in range(0, blocks, per):
+        yield b * rows, n if b + per >= blocks else (b + per) * rows
+
+
 def _transform_rows(fn, scale: float, x, a: np.ndarray, w: np.ndarray):
     """fn(scale * outer(x, a)) @ w, one block of rows at a time.
 
@@ -82,12 +91,9 @@ def _transform_rows(fn, scale: float, x, a: np.ndarray, w: np.ndarray):
     flat = x.reshape(-1)
     n = flat.size
     rows = _block_rows(a.size)
-    blocks = max(1, n // rows)
     buf = np.empty((min(n, 2 * rows - 1), a.size))
     out = np.empty((n,) + w.shape[1:])
-    for b in range(blocks):
-        lo = b * rows
-        hi = n if b == blocks - 1 else lo + rows
+    for lo, hi in _row_block_edges(n, rows):
         m = buf[: hi - lo]
         np.multiply.outer(flat[lo:hi], a, out=m)
         np.multiply(scale, m, out=m)
@@ -236,6 +242,11 @@ def default_family() -> WeightFamily:
 # ----------------------------------------------------------------------------
 
 
+# Bytes of one node-length array of a SpectralWeight.h_T_real chunk: 8192 r,
+# 64 _transform_rows blocks of 128 rows over the 256 bump nodes.
+_H_T_CHUNK_BYTES = 64 * 1024
+
+
 @dataclass(frozen=True)
 class SpectralWeight:
     """h_T(r) = (r/T) h(ir/T) / sinh(pi r / T) for a large odd integer T."""
@@ -261,10 +272,23 @@ class SpectralWeight:
 
         Computed log-scaled so that large r (where h(ir/T) alone would
         overflow) stays finite: the net decay is exp(-pi(1-4w)|r|/(2T)).
+        Runs over chunks of whole _transform_rows blocks, about
+        _H_T_CHUNK_BYTES // 8 r each, the last chunk with the remainder
+        block, so every r keeps its block and its place in it (and so its
+        bits) while the temporaries stay bounded for any number of r.
         """
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        r = np.atleast_1d(r)
+        flat = r.reshape(-1)
+        out = np.empty(flat.size)
+        rows = _block_rows(self.family._xi.size)
+        per = max(1, _H_T_CHUNK_BYTES // (8 * rows))
+        for lo, hi in _row_block_edges(flat.size, rows, per):
+            out[lo:hi] = self._h_T_chunk(flat[lo:hi])
+        return float(out[0]) if scalar else out.reshape(r.shape)
+
+    def _h_T_chunk(self, r: np.ndarray) -> np.ndarray:
+        """h_T_real on a 1-d array of r."""
         y = np.abs(r) / self.T
         mant, logs = self.family.s_imag_axis_scaled(y)
         # h(iy) = y^M * (mant e^{logs})^2 ; h_T = y^{M+1} h-part / sinh(pi y)
@@ -284,7 +308,7 @@ class SpectralWeight:
             * mant[nz] ** 2
             * np.exp(np.minimum(2.0 * logs[nz] - log_sinh, 709.0))
         )
-        return float(out[0]) if scalar else out
+        return out
 
     def h_T_halfint_imag(self, k: int) -> float:
         """h_T((k + 1/2) i) in closed real form; never hits a pole."""

@@ -407,6 +407,27 @@ def test_dj_quadrature_at_40_21_keeps_the_mpmath_value(monkeypatch):
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("X,T", [(39.5, 41), (40.0, 21)])
+def test_blocked_grid_matches_one_block_on_dj_nodes(monkeypatch, X, T):
+    # the grid runs over node blocks; on the fine-pass nodes of
+    # dj_quadrature(X, T), several blocks, each node keeps the bits of a
+    # grid that is one block, and the route counts of all blocks come in
+    # one record
+    r_max = (4.0 * T / math.pi) * math.log(1e10) + 50.0
+    nodes, _ = bt._gl_panels(bt._osc_panel_edges(r_max, X, 0.55))
+    assert nodes.size > 4 * (sf._GRID_BLOCK_BYTES // 16)
+    with _routes() as counts:
+        got = scaled_bessel_j_imag_grid(nodes, X)
+    monkeypatch.setattr(sf, "_GRID_BLOCK_BYTES", 16 * nodes.size)
+    with _routes() as whole:
+        want = scaled_bessel_j_imag_grid(nodes, X)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    [count] = counts
+    assert count == whole[0]
+    assert count["nodes"] == nodes.size == sum(count[k] for k in ROUTES)
+    assert count["hankel"] and count["double_double"]
+
+
 def test_osc_grid_mpmath_share_at_the_c1_term_of_57(monkeypatch):
     # the g57 Gaussian of the trace-formula benchmark at x = 4 pi sqrt(35):
     # before the double-double route, 3146 of its 3600 nodes took mpmath,

@@ -1,6 +1,7 @@
 """Cross-method checks on D_J, S_J, and the stationary sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_asymptotic_tracks_quadrature_at_large_argument():
     a = bt.dj_asymptotic(X, T)
     q = bt.dj_quadrature(X, T)
     assert abs(a.value - q.value) < a.error_estimate + q.error_estimate
+
+
+@pytest.mark.parametrize("X,T,bound_mb", [(39.5, 41, 8.0), (3.988, 41, 14.5)])
+def test_dj_quadrature_memory_is_bounded(X, T, bound_mb):
+    # traced peaks: 4.8 and 12.9 MB (26.5 and 16.7 MB while the X > 36
+    # grid and h_T held every node's temporaries at once and the x <= 36
+    # series kept its log Gamma and log cosh arrays through its loop)
+    default_family()
+    tracemalloc.start()
+    try:
+        bt.dj_quadrature(X, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 def test_stationary_sums_real_imag_structure_and_magnitude():

@@ -2,9 +2,9 @@
 
 There is no linter in the test environment, so this AST scan keeps unused
 imports from coming back. A name counts as read when the module loads it
-anywhere or lists it in __all__ (the package's re-exports). The last test
-checks that the runtime path needs no test-only dependency (mpmath,
-scipy).
+anywhere or lists it in __all__ (the package's re-exports). The last two
+tests check that the runtime path needs no test-only dependency (mpmath,
+scipy) and never imports numpy.ma.
 """
 
 import ast
@@ -105,3 +105,24 @@ def test_runtime_path_runs_without_test_extras():
     # density report run with both blocked
     script = ROOT / "tests" / "runtime_without_test_extras.py"
     assert "without mpmath or scipy" in run_pinned(script.read_text(encoding="utf-8"))
+
+
+_NUMPY_MA_CHECK = r"""
+import sys
+from maassdensity.besseltransform import dj_quadrature
+from maassdensity.density import DensityEngine, explicit_formula_average
+from maassdensity.kuznetsov import geometric_side, weight_gaussian
+from maassdensity.rmt import make_test_function
+geometric_side(2, 3, weight_gaussian(14.7, 3.675), c_max=100)
+dj_quadrature(40.0, 21)
+explicit_formula_average(5, make_test_function(0.8), engine=DensityEngine(5))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_numpy_ma_stays_out_of_the_process():
+    # numpy's np.unique and np.union1d import numpy.ma on first use (16.5 ms
+    # and about 1.5 MB of RSS inside a timed solve): the Kloosterman residue
+    # dedupe, the oscillatory grid's term bands and the X > 36 Bessel grid's
+    # route merges use integer-exact forms instead
+    assert run_pinned(_NUMPY_MA_CHECK).split() == ["False"]

@@ -13,6 +13,7 @@ import numpy as np
 from maassdensity.besseltransform import _gl_panels, _osc_panel_edges
 from maassdensity.rmt import make_test_function
 from maassdensity.weights import (
+    _H_T_CHUNK_BYTES,
     _block_rows,
     _transform_rows,
     default_family,
@@ -108,6 +109,48 @@ def test_h_t_real_memory_bounded_on_dj_nodes():
     assert nodes.size > 120_000
     sw = make_spectral_weight(default_family(), T)
     assert _traced_peak(sw.h_T_real, nodes) < 16 * 2**20
+
+
+def _h_t_real_one_chunk(sw, r):
+    """SpectralWeight.h_T_real on a 1-d r as one whole-grid chunk: its body
+    before it ran over chunks."""
+    y = np.abs(r) / sw.T
+    mant, logs = sw.family.s_imag_axis_scaled(y)
+    out = np.zeros_like(y)
+    nz = y > 0.0
+    ynz = y[nz]
+    log_sinh = np.where(
+        math.pi * ynz > 30.0,
+        math.pi * ynz - math.log(2.0),
+        np.log(np.sinh(np.minimum(math.pi * ynz, 30.0)) + (math.pi * ynz > 30.0)),
+    )
+    out[nz] = (
+        ynz ** (sw.family.M + 1)
+        * mant[nz] ** 2
+        * np.exp(np.minimum(2.0 * logs[nz] - log_sinh, 709.0))
+    )
+    return out
+
+
+def test_h_t_real_chunks_keep_every_bit():
+    # chunk edges fall on whole _transform_rows blocks and the last chunk
+    # takes the remainder block, so every r keeps its place in the 4-row
+    # groups of the matrix-vector product: lengths below, on and above a
+    # chunk edge, a remainder shorter than one block, and the whole fine
+    # pass of dj_quadrature(3.988, 41)
+    T = 41
+    r_max = (4.0 * T / math.pi) * math.log(1e10) + 50.0
+    nodes, _ = _gl_panels(_osc_panel_edges(r_max, 3.988, 0.55))
+    assert nodes.size == 121_136
+    sw = make_spectral_weight(default_family(), T)
+    rows = _block_rows(sw.family._xi.size)
+    edge = _H_T_CHUNK_BYTES // (8 * rows) * rows
+    assert edge == 8192 and rows == 128
+    for n in (3, rows - 1, edge - 1, edge, edge + 1, edge + rows // 2,
+              2 * edge + rows + 5, nodes.size):
+        r = nodes[:n]
+        got = sw.h_T_real(r)
+        assert np.array_equal(got.view(np.int64), _h_t_real_one_chunk(sw, r).view(np.int64))
 
 
 def test_phi_memory_bounded():
